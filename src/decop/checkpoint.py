@@ -16,6 +16,7 @@ count is deliberately not structural (weights are channel independent).
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -71,27 +72,38 @@ def save(path: str, model: ModelState) -> None:
     atomic_write_bytes(path, payload)
 
 
+def _parse_shape(text: str, name: str, path: str) -> tuple[int, ...]:
+    if text == "scalar":
+        return ()
+    dims = text.split("x")
+    if not all(d.isascii() and d.isdigit() for d in dims):
+        raise CheckpointError(f"{path}: parameter {name} has malformed shape {text!r}")
+    return tuple(int(d) for d in dims)
+
+
 def _parse_header(blob: bytes, path: str):
     marker = b"END-HEADER\n"
     cut = blob.find(marker)
     if cut < 0:
         raise CheckpointError(f"{path}: missing END-HEADER marker")
-    lines = blob[:cut].decode("utf-8").splitlines()
+    try:
+        lines = blob[:cut].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: header is not UTF-8 text (byte {exc.start})") from None
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: not a {MAGIC} file")
     config: dict[str, str] = {}
     manifest: list[tuple[str, tuple[int, ...]]] = []
     for line in lines[1:]:
-        kind, rest = line.split(" ", 1)
-        if kind == "config":
+        kind, _, rest = line.partition(" ")
+        if kind == "config" and "=" in rest:
             key, value = rest.split("=", 1)
             config[key] = value
-        elif kind == "param":
+        elif kind == "param" and rest.count(" ") >= 2:
             name, dtype, shape_text = rest.rsplit(" ", 2)
             if dtype != "f32":
                 raise CheckpointError(f"{path}: unsupported dtype {dtype} for {name}")
-            shape = () if shape_text == "scalar" else tuple(int(d) for d in shape_text.split("x"))
-            manifest.append((name, shape))
+            manifest.append((name, _parse_shape(shape_text, name, path)))
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")
     return config, manifest, blob[cut + len(marker):]
@@ -124,11 +136,12 @@ def load(path: str, model: ModelState, require_heads: bool = False) -> None:
     offset = 0
     restored: dict[str, np.ndarray] = {}
     for name, shape in manifest:
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
+        end = offset + 4 * math.prod(shape)
         if end > len(payload):
             raise CheckpointError(f"{path}: payload truncated at parameter {name}")
         values = np.frombuffer(payload[offset:end], dtype="<f4").astype(np.float64).reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
         restored[name] = values
         offset = end
     if offset != len(payload):

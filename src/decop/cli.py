@@ -20,17 +20,15 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import checkpoint, flops, icm, ipn
+from . import checkpoint, flops, icm
 from .checkpoint import atomic_write_text
 from .config import RunConfig, echo_config, load_config
 from .data import (
     Dataset,
     DatasetSpec,
     load_csv,
-    patchify_batch,
     sample_windows,
+    split_columns,
     synthetic_sine,
     synthetic_two_class,
     unpatchify_batch,
@@ -38,10 +36,9 @@ from .data import (
 )
 from .errors import ConfigError, DecopError
 from .finetune import FinetuneConfig, run_finetuning
-from .model import ModelState
+from .model import ModelState, normalize_windows
 from .pretrain import PretrainConfig, run_pretraining
 from .rng import Rng
-from .tensor import Tensor
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
@@ -170,12 +167,8 @@ def cmd_flops(cfg: RunConfig) -> int:
     dims = cfg.dims()
     n_channels = 1
     if cfg.dataset and os.path.exists(cfg.dataset):
-        with open(cfg.dataset, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-        names = [h.strip().lower() for h in header]
-        n_channels = sum(
-            1 for i, name in enumerate(names) if not (i == 0 and name == "date") and name != "label"
-        )
+        with open(cfg.dataset, "r", encoding="utf-8", errors="replace") as fh:
+            n_channels = len(split_columns(fh.readline().rstrip("\n").split(","))[0])
     pre = flops.pretrain_report(dims, n_channels)
     fin = flops.finetune_report(dims, n_channels, cfg.task, cfg.horizon, cfg.classes)
     print(flops.format_report("pretrain", pre))
@@ -193,10 +186,7 @@ def cmd_filter_viz(cfg: RunConfig, channel: int, out_path: str | None) -> int:
         raise ConfigError("test split has no window to visualize")
     window = ours[0].x[None, :]
 
-    model = _build_model(cfg)
-    patches = Tensor(patchify_batch(window, cfg.patch_size, cfg.stride))
-    stats = ipn.compute_stats(patches, Tensor(window), model.blend)
-    normalized = ipn.normalize(patches, stats)
+    normalized, _ = normalize_windows(_build_model(cfg), window)
     anchor = unpatchify_batch(normalized.data, cfg.stride, cfg.lookback)
     denoised = icm.generate_positive_views(anchor, icm.FilterConfig(cfg.keep_fraction, cfg.lookback))
     noise = anchor - denoised
@@ -264,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         raise ConfigError(f"unknown command {args.command}")
     except DecopError as exc:
         print(f"decop:error:{exc.category}: {exc}", file=sys.stderr)
-        return 2 if exc.category in ("config", "usage") else 3
+        return 2 if exc.category == "config" else 3
     except OSError as exc:
         print(f"decop:error:io: {exc}", file=sys.stderr)
         return 4

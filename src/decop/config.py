@@ -8,38 +8,11 @@ the run outputs so every consumed setting is on record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .model import ModelDims
-
-# §-free documentation of each key lives in the README table.
-_DEFAULTS = {
-    "dataset": "",
-    "dataset_name": "dataset",
-    "task": "forecast",
-    "lookback": 512,
-    "horizon": 96,
-    "classes": 2,
-    "patch_size": 12,
-    "stride": 12,
-    "model_dim": 128,
-    "windows": (2, 5),
-    "learner": "linear",
-    "hidden_mult": 1,
-    "dropout": 0.1,
-    "keep_fraction": 0.3,
-    "contrastive_weight": 0.1,
-    "blend_init": 0.01,
-    "mask_ratio": 0.4,
-    "lr": 1e-4,
-    "epochs": 20,
-    "batch_size": 64,
-    "patience": 5,
-    "seed": 42,
-    "split_ratios": (0.7, 0.1, 0.2),
-    "out_dir": "runs/default",
-}
 
 
 @dataclass
@@ -111,35 +84,42 @@ class RunConfig:
             raise ConfigError(f"windows must be positive integers: {self.windows}")
         if list(self.windows) != sorted(self.windows):
             raise ConfigError(f"windows must be non-decreasing: {self.windows}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.learner not in ("linear", "mlp"):
             raise ConfigError(f"learner must be linear or mlp, got '{self.learner}'")
         return self
 
 
-_INT_KEYS = {"lookback", "horizon", "classes", "patch_size", "stride", "model_dim",
-             "hidden_mult", "epochs", "batch_size", "patience", "seed"}
-_FLOAT_KEYS = {"dropout", "keep_fraction", "contrastive_weight", "blend_init",
-               "mask_ratio", "lr"}
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+# one parser per field annotation of RunConfig (annotations are strings
+# under postponed evaluation); defaults come from the dataclass itself
+_PARSERS = {
+    "int": int,
+    "float": _finite,
+    "str": str,
+    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+    "tuple[float, float, float]": lambda raw: tuple(_finite(v) for v in raw.split(",")),
+}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "windows":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if key == "split_ratios":
-            return tuple(float(v) for v in raw.split(","))
+        return _FIELD_PARSERS[key](raw)
     except ValueError:
         raise ConfigError(f"field '{key}': cannot parse value {raw!r}") from None
-    return raw
 
 
 def parse_config_text(text: str) -> RunConfig:
-    values = dict(_DEFAULTS)
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -147,7 +127,7 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in values:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown field '{key}'")
         values[key] = _parse_value(key, raw)
     return RunConfig(**values).validate()
@@ -159,6 +139,8 @@ def load_config(path: str) -> RunConfig:
             return parse_config_text(fh.read())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def echo_config(cfg: RunConfig) -> str:

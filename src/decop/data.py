@@ -190,21 +190,36 @@ def _split_boundaries(n_rows: int, spec: DatasetSpec) -> tuple[int, int, int]:
     return train, val, n_rows
 
 
+def split_columns(header: list[str]) -> tuple[list[int], list[int]]:
+    """Channel and label column indices of a CSV header row.
+
+    A first column named ``date`` is neither; names compare trimmed and
+    case-insensitively.
+    """
+    names = [name.strip().lower() for name in header]
+    labels = [i for i, name in enumerate(names) if name == "label"]
+    channels = [
+        i for i, name in enumerate(names) if name != "label" and not (i == 0 and name == "date")
+    ]
+    return channels, labels
+
+
 def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     """Load, standardize, and split a dataset CSV.
 
-    Rows are numbered from 1 at the header for error reporting.
+    Rows are numbered from 1 at the header for error reporting. Channel
+    cells must be finite numbers.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     lines = [ln for ln in lines if ln != ""]
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")
-    skip = {i for i, name in enumerate(header) if i == 0 and name.strip().lower() == "date"}
-    label_cols = [i for i, name in enumerate(header) if name.strip().lower() == "label"]
-    skip.update(label_cols)
-    channel_cols = [i for i in range(len(header)) if i not in skip]
+    channel_cols, label_cols = split_columns(header)
     if not channel_cols:
         raise ParseError(f"{path}: no channel columns")
 
@@ -225,10 +240,17 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
         if labels is not None:
             try:
                 labels[r] = int(float(cells[label_cols[0]]))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ParseError(
                     f"{path}: row {r + 2}, column 'label': not an integer: {cells[label_cols[0]]!r}"
                 ) from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, j = np.argwhere(~finite)[0]
+        c = channel_cols[j]
+        raise ParseError(
+            f"{path}: row {r + 2}, column '{header[c]}': not finite: {lines[r + 1].split(',')[c]!r}"
+        )
 
     if spec.min_rows and n_rows < spec.min_rows:
         raise SizeError(f"{path}: {n_rows} usable rows, need at least {spec.min_rows}")

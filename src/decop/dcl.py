@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError
 from .rng import Rng
 from .tensor import Tensor
 
@@ -84,20 +84,6 @@ def block_param_count(cfg: DclConfig, window: int) -> int:
     return width * hidden + hidden + hidden * width + width
 
 
-def project_patches(patches: Tensor, proj_w: Tensor, proj_b: Tensor, pos: Tensor) -> Tensor:
-    """(B, N, P) patches -> (B, N, D) latents with positional offsets."""
-    b, n, p = patches.shape
-    if pos.shape[0] != n:
-        raise ContractError(
-            f"positional table is for {pos.shape[0]} patches, input has {n}; re-initialize the model"
-        )
-    if proj_w.shape[0] != p:
-        raise DimensionError("project_patches", patches.shape, proj_w.shape)
-    flat = T.reshape(patches, (b * n, p))
-    z = T.reshape(T.affine(flat, proj_w, proj_b), (b, n, proj_w.shape[1]))
-    return T.add(z, pos)
-
-
 def window_partition(z: Tensor, window: int) -> tuple[Tensor, int]:
     """Group patches into windows: (B, N, D) -> (B * ceil(N/W), W * D).
 
@@ -113,7 +99,7 @@ def window_partition(z: Tensor, window: int) -> tuple[Tensor, int]:
 def window_merge(z: Tensor, batch: int, groups: int, window: int, n: int, dim: int) -> Tensor:
     """Inverse of :func:`window_partition`, truncating the padding."""
     full = T.reshape(z, (batch, groups * window, dim))
-    return T.slice_axis(full, axis=1, count=n)
+    return T.narrow(full, 1, 0, n)
 
 
 def apply_learner(flat: Tensor, block: DclBlock, cfg: DclConfig) -> Tensor:

@@ -26,10 +26,10 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, batches, sample_windows
-from .errors import ContractError, NumericError
+from .errors import ConfigError, ContractError
 from .ipn import denormalize
 from .model import ModelState, encode_patches, normalize_windows
-from .optim import Adam
+from .optim import Adam, train_step
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -48,7 +48,7 @@ class FinetuneConfig:
 
     def __post_init__(self):
         if self.task not in ("forecast", "classify"):
-            raise ValueError(f"task must be forecast or classify, got '{self.task}'")
+            raise ConfigError(f"task must be forecast or classify, got '{self.task}'")
 
 
 @dataclass
@@ -195,12 +195,7 @@ def finetune_epoch(
             else:
                 scores = classify_forward(model, x, True, streams["dropout"])
                 loss = cross_entropy(scores, labels)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise NumericError(f"non-finite loss at epoch {epoch}, batch {index}")
-        tape.backward(loss)
-        optimizer.step()
-        loss_sum += value
+        loss_sum += train_step(tape, loss, optimizer, epoch, index)
         n_batches += 1
     val = evaluate(model, dataset, cfg, "val")
     return FinetuneEpochMetrics(

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ContractError
 from .tensor import Tensor
@@ -97,14 +95,3 @@ def denormalize(values: Tensor, stats: NormStats, mode: str) -> Tensor:
         denom = T.sqrt(T.add(stats.instance_var, Tensor(stats.eps)))
         return T.add(T.mul(values, denom), stats.instance_mean)
     raise ContractError(f"unknown denormalize mode '{mode}'")
-
-
-def normalized_series(patches_norm: np.ndarray, stride: int, length: int) -> np.ndarray:
-    """Stitch normalized patches back into full-length series.
-
-    Used to hand the normalized signal to the frequency-domain view
-    generator, which runs outside the gradient graph.
-    """
-    from .data import unpatchify_batch
-
-    return unpatchify_batch(patches_norm, stride, length)

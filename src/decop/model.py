@@ -16,7 +16,6 @@ from . import dcl, ipn
 from . import tensor as T
 from .data import n_patches_for, patchify_batch
 from .dcl import DclBlock, DclConfig, _uniform_init
-from .errors import NumericError
 from .rng import Rng
 from .tensor import Tensor
 
@@ -128,15 +127,6 @@ def normalize_windows(model: ModelState, windows: np.ndarray) -> tuple[Tensor, i
     return ipn.normalize(patches, stats), stats
 
 
-def substitute_masked(z: Tensor, mask: np.ndarray, token: Tensor) -> Tensor:
-    """Replace masked patch latents with the learnable token.
-
-    ``mask`` is (B, N) with 1 marking masked patches; substitution happens
-    after projection so input statistics never see the mask pattern.
-    """
-    return T.masked_fill_rows(z, mask, token)
-
-
 def encode_patches(
     model: ModelState,
     patches: Tensor,
@@ -146,7 +136,9 @@ def encode_patches(
 ) -> tuple[Tensor, Tensor]:
     """Project (optionally mask-substitute) and run the encoder stack.
 
-    Token substitution happens between projection and the positional
+    ``mask`` is (B, N) with 1 marking patches whose latents are swapped
+    for the mask token. The swap happens after projection, so input
+    statistics never see the mask pattern, and before the positional
     table, so masked positions keep their position tag.
     """
     b, n, p = patches.shape
@@ -154,12 +146,6 @@ def encode_patches(
     flat = T.reshape(patches, (b * n, p))
     z = T.reshape(T.affine(flat, model.proj_w, model.proj_b), (b, n, d))
     if mask is not None:
-        z = substitute_masked(z, mask, model.mask_token)
+        z = T.masked_fill_rows(z, mask, model.mask_token)
     z = T.add(z, model.pos)
     return dcl.encoder_forward(z, model.blocks, model.cfg, train, rng)
-
-
-def check_finite(value: float, context: str) -> float:
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite loss at {context}")
-    return value

@@ -1,11 +1,11 @@
-"""Adam optimizer over a named parameter registry."""
+"""Adam optimizer over a named parameter registry, and the shared training step."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
-from .tensor import Tensor
+from .errors import ContractError, NumericError
+from .tensor import Tape, Tensor
 
 
 class Adam:
@@ -47,3 +47,17 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+
+def train_step(tape: Tape, loss: Tensor, optimizer: Adam, epoch: int, index: int) -> float:
+    """Backpropagate a finite loss and take one optimizer step.
+
+    Returns the loss value. A non-finite loss raises before any
+    parameter moves; ``epoch`` and ``index`` (the batch) name the step.
+    """
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise NumericError(f"non-finite loss at epoch {epoch}, batch {index}")
+    tape.backward(loss)
+    optimizer.step()
+    return value

@@ -17,10 +17,10 @@ import numpy as np
 from . import icm, ipn
 from . import tensor as T
 from .data import Dataset, batches, patchify_batch, sample_windows, unpatchify_batch
-from .errors import NumericError
+from .errors import ConfigError
 from .icm import ContrastiveDiagnostics, FilterConfig
 from .model import ModelState, encode_patches, normalize_windows
-from .optim import Adam
+from .optim import Adam, train_step
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -37,9 +37,9 @@ class PretrainConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.mask_ratio < 1.0:
-            raise ValueError(f"mask ratio must be in [0, 1), got {self.mask_ratio}")
+            raise ConfigError(f"mask ratio must be in [0, 1), got {self.mask_ratio}")
         if self.contrastive_weight < 0.0:
-            raise ValueError(f"contrastive weight must be >= 0, got {self.contrastive_weight}")
+            raise ConfigError(f"contrastive weight must be >= 0, got {self.contrastive_weight}")
 
 
 @dataclass
@@ -65,11 +65,6 @@ def random_masks(batch: int, n_patches: int, ratio: float, stream: Rng) -> np.nd
         picked = np.argsort(u, axis=1, kind="stable")[:, :k]
         mask[np.repeat(np.arange(batch), k), picked.reshape(-1)] = 1.0
     return mask
-
-
-def random_mask(n_patches: int, ratio: float, stream: Rng) -> np.ndarray:
-    """Single-sample form of :func:`random_masks`."""
-    return random_masks(1, n_patches, ratio, stream)[0]
 
 
 def reconstruction_head(z: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -170,11 +165,7 @@ def pretrain_epoch(
     for index, (x, _, _) in enumerate(batches(samples, cfg.batch_size)):
         with Tape() as tape:
             out = pretrain_batch(model, x, cfg, streams["mask"], streams["dropout"])
-        total = float(out.total.data)
-        if not np.isfinite(total):
-            raise NumericError(f"non-finite loss at epoch {epoch}, batch {index}")
-        tape.backward(out.total)
-        optimizer.step()
+        total = train_step(tape, out.total, optimizer, epoch, index)
         sums += (float(out.recon.data), float(out.contrastive.data), total)
         n_batches += 1
     recon, contrastive, total = sums / max(n_batches, 1)

@@ -151,23 +151,6 @@ class Rng:
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
-    def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """``k`` distinct indices from range(n), in draw order.
-
-        Partial Fisher-Yates from the front; the k uniforms are drawn as
-        one batch before swapping.
-        """
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot draw {k} from {n}")
-        pool = np.arange(n)
-        if k == 0:
-            return pool[:0].copy()
-        u = self.uniform(k)
-        for i in range(k):
-            j = i + int(u[i] * (n - i))
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k].copy()
-
     def bernoulli(self, p: float, shape) -> np.ndarray:
         """Boolean array, True with probability ``p``.
 

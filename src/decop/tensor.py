@@ -49,50 +49,9 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # operator sugar; every route funnels through the op functions below
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class Tape:
@@ -224,17 +183,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def neg(a: Tensor) -> Tensor:
-    return _record((a,), -a.data, lambda g: (-g,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     root = np.sqrt(a.data)
     return _record((a,), root, lambda g: (g * 0.5 / root,))
-
-
-def square(a: Tensor) -> Tensor:
-    return _record((a,), a.data * a.data, lambda g: (g * 2.0 * a.data,))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -273,16 +224,6 @@ def gelu(a: Tensor) -> Tensor:
 # linear algebra and structure
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError("matmul", a.shape, b.shape)
-    return _record(
-        (a, b),
-        a.data @ b.data,
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused x @ w + b for a 2D input and a row-vector bias."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
@@ -293,21 +234,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         (x, w, b),
         out,
         lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)),
-    )
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError("transpose", a.shape)
-    return _record((a,), a.data.T.copy(), lambda g: (g.T,))
-
-
-def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = np.argsort(axes)
-    return _record(
-        (a,),
-        np.transpose(a.data, axes).copy(),
-        lambda g: (np.transpose(g, inverse),),
     )
 
 
@@ -364,11 +290,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         return (_zero_pad(g, axis, start, after),)
 
     return _record((a,), a.data[tuple(sl)].copy(), backward)
-
-
-def slice_axis(a: Tensor, axis: int, count: int) -> Tensor:
-    """Keep the first ``count`` entries along ``axis``."""
-    return narrow(a, axis, 0, count)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -445,12 +366,6 @@ def standardize(a: Tensor) -> Tensor:
         return (dx,)
 
     return _record((a,), out, backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise DimensionError("dot", a.shape, b.shape)
-    return _record((a, b), np.asarray(a.data @ b.data), lambda g: (g * b.data, g * a.data))
 
 
 def squared_error(a: Tensor, b: Tensor) -> Tensor:

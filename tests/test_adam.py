@@ -1,11 +1,12 @@
-"""Adam update contract: hand-checked step, sign property, errors."""
+"""Adam update contract: hand-checked step, sign property, errors; the train step."""
 
 import numpy as np
 import pytest
 
-from decop.errors import ContractError
-from decop.optim import Adam
-from decop.tensor import Tensor
+from decop import tensor as T
+from decop.errors import ContractError, NumericError
+from decop.optim import Adam, train_step
+from decop.tensor import Tape, Tensor
 
 
 def test_zero_gradient_leaves_parameter_unchanged():
@@ -62,3 +63,19 @@ def test_moment_shapes_match_parameters():
     opt = Adam({"p": p})
     assert opt.m["p"].shape == (3, 4)
     assert opt.v["p"].shape == (3, 4)
+
+
+def test_train_step_rejects_non_finite_loss_before_stepping():
+    p = Tensor(np.ones(3), requires_grad=True)
+    opt = Adam({"p": p}, lr=0.1)
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(p, Tensor([1.0, np.nan, 1.0])))
+    with pytest.raises(NumericError, match="non-finite loss at epoch 3, batch 7"):
+        train_step(tape, loss, opt, 3, 7)
+    assert np.array_equal(p.data, np.ones(3)) and p.grad is None and opt.t == 0
+
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(p, p))
+    assert train_step(tape, loss, opt, 1, 0) == 3.0
+    assert opt.t == 1 and p.grad is None
+    assert np.allclose(p.data, 0.9)

@@ -98,6 +98,27 @@ def test_corrupt_payload_detected(tmp_path):
         checkpoint.load(path, _model(seed=9))
 
 
+def test_single_byte_header_mutations_load_or_raise_checkpoint_error(tmp_path):
+    path = str(tmp_path / "m.decop")
+    checkpoint.save(path, _model())
+    blob = open(path, "rb").read()
+    header_end = blob.index(b"END-HEADER\n") + len(b"END-HEADER\n")
+    target = _model(seed=9)
+    mutated = str(tmp_path / "mutated.decop")
+    rejected = 0
+    for pos in range(header_end):
+        for byte in (b" ", b"x", b"9", b"=", b"-", b"\n", b"\xff"):
+            if blob[pos : pos + 1] == byte:
+                continue
+            with open(mutated, "wb") as fh:
+                fh.write(blob[:pos] + byte + blob[pos + 1 :])
+            try:
+                checkpoint.load(mutated, target)
+            except CheckpointError:
+                rejected += 1
+    assert rejected > 0
+
+
 # ---------------------------------------------------------------------------
 # config files
 

@@ -191,3 +191,103 @@ def test_classification_finetune_via_cli(tmp_path, capsys):
     assert keys == {"acc", "precision", "recall", "f1"}
     acc = float(report.splitlines()[0].split("=")[1])
     assert 0.0 <= acc <= 100.0
+
+
+# ---------------------------------------------------------------------------
+# mutation: a corrupted checkpoint, CSV or config ends in one error line
+
+
+def _assert_one_error_line(code, capsys, category) -> str:
+    err = capsys.readouterr().err
+    assert code != 0
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert err.startswith(f"decop:error:{category}: "), err
+    return err
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("mutation")
+    data = tmp_path / "toy.csv"
+    write_csv(str(data), synthetic_sine(420, 2, seed=5, periods=(12.0, 18.0)))
+    cfg = _config(tmp_path, str(data), "pre", epochs=1)
+    assert main(["pretrain", "--config", cfg]) == 0
+    return tmp_path, str(data), (tmp_path / "pre" / "ckpt_final.decop").read_bytes()
+
+
+def _set_payload_float(value):
+    def corrupt(blob):
+        start = blob.index(b"END-HEADER\n") + len(b"END-HEADER\n")
+        return blob[:start] + np.float32(value).astype("<f4").tobytes() + blob[start + 4:]
+
+    return corrupt
+
+
+CHECKPOINT_MUTATIONS = {
+    "header-line-without-space": lambda b: b.replace(b"config lookback=48", b"configlookback=48", 1),
+    "config-line-without-equals": lambda b: b.replace(b"config stride=8", b"config stride8", 1),
+    "param-line-without-shape": lambda b: b.replace(b"param blend f32 scalar", b"param blend", 1),
+    "shape-not-an-integer": lambda b: b.replace(b"param proj_w f32 8x8", b"param proj_w f32 8xQ", 1),
+    "negative-shape": lambda b: b.replace(b"param proj_b f32 8", b"param proj_b f32 -8", 1),
+    "non-utf8-header": lambda b: b.replace(b"param pos", b"param p\xffos", 1),
+    "nan-in-payload": _set_payload_float(np.nan),
+    "inf-in-payload": _set_payload_float(np.inf),
+    "truncated-payload": lambda b: b[:-6],
+    "trailing-bytes": lambda b: b + b"\0\0\0\0",
+    "missing-end-marker": lambda b: b.replace(b"END-HEADER\n", b"END-HEADER ", 1),
+    "wrong-magic": lambda b: b.replace(b"DECOP-CKPT v1", b"DECOP-CKPT v2", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_MUTATIONS))
+def test_corrupt_checkpoint_is_one_checkpoint_error(pretrained, capsys, name):
+    tmp_path, data, blob = pretrained
+    corrupted = CHECKPOINT_MUTATIONS[name](blob)
+    assert corrupted != blob
+    ckpt = tmp_path / f"{name}.decop"
+    ckpt.write_bytes(corrupted)
+    cfg = _config(tmp_path, data, f"fin-{name}", epochs=1)
+    code = main(["finetune", "--config", cfg, "--checkpoint", str(ckpt)])
+    _assert_one_error_line(code, capsys, "checkpoint")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_csv_cell_is_one_data_error(pretrained, capsys, cell):
+    tmp_path, data, _ = pretrained
+    lines = open(data, encoding="utf-8").read().splitlines()
+    cells = lines[7].split(",")
+    cells[1] = cell
+    lines[7] = ",".join(cells)
+    bad = tmp_path / f"cell-{cell}.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = _config(tmp_path, str(bad), f"csv-{cell}", epochs=1)
+    err = _assert_one_error_line(main(["pretrain", "--config", cfg]), capsys, "data")
+    assert "row 8, column 'ch1'" in err and repr(cell) in err
+
+
+def test_non_utf8_csv_is_one_data_error(pretrained, capsys):
+    tmp_path, data, _ = pretrained
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(open(data, "rb").read().replace(b"ch0", b"ch\xe90", 1))
+    code = main(["pretrain", "--config", _config(tmp_path, str(bad), "latin1", epochs=1)])
+    _assert_one_error_line(code, capsys, "data")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"patience": "-1"}, {"patience": "0"}, {"lr": "fast"}, {"lr": "nan"}, {"blend_init": "inf"}],
+    ids=["patience-negative", "patience-zero", "lr-not-numeric", "lr-nan", "blend-init-inf"],
+)
+def test_bad_config_field_is_one_config_error(pretrained, capsys, overrides):
+    tmp_path, data, _ = pretrained
+    cfg = _config(tmp_path, data, "badfield", **overrides)
+    code = main(["finetune", "--config", cfg])
+    _assert_one_error_line(code, capsys, "config")
+    assert code == 2
+
+
+def test_non_utf8_config_is_one_config_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"dataset_name = caf\xe9\n")
+    code = main(["pretrain", "--config", str(bad)])
+    _assert_one_error_line(code, capsys, "config")

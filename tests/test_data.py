@@ -13,6 +13,7 @@ from decop.data import (
     patchify,
     patchify_batch,
     sample_windows,
+    split_columns,
     synthetic_sine,
     synthetic_two_class,
     unpatchify,
@@ -105,6 +106,12 @@ def test_date_column_ignored_and_label_column_split_out(tmp_path):
     assert ds.n_channels == 1
     assert ds.labels is not None
     assert ds.labels.tolist() == [i % 2 for i in range(12)]
+
+
+def test_split_columns_rule():
+    assert split_columns(["Date", "a", " label ", "b"]) == ([1, 3], [2])
+    # date counts only as the first column
+    assert split_columns(["a", "date"]) == ([0, 1], [])
 
 
 def test_ett_hourly_protocol_boundaries(tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from decop import dcl
-from decop import tensor as T
 from decop.dcl import DclBlock, DclConfig
-from decop.errors import ConfigError, ContractError
+from decop.errors import ConfigError
+from decop.model import ModelDims, ModelState, encode_patches
 from decop.rng import Rng
 from decop.tensor import Tensor
 
@@ -25,35 +25,43 @@ def _zero_block(cfg, window):
 
 
 # ---------------------------------------------------------------------------
-# projection
+# projection: with every block zeroed and in eval mode, the encoder is the
+# identity, so model.encode_patches returns patches @ proj_w + proj_b + pos
+
+
+def _encode_projection(patches, proj_w, proj_b, pos):
+    _, n, p = patches.shape
+    d = proj_w.shape[1]
+    model = ModelState(ModelDims(p, p, p, d, (1,), "linear"), dropout=0.1, blend_init=0.01, rng=Rng(0))
+    assert model.dims.n_patches == n
+    for name, tensor in (("proj_w", proj_w), ("proj_b", proj_b), ("pos", pos)):
+        getattr(model, name).data[...] = tensor
+    for block in model.blocks:
+        for tensor in block.params.values():
+            tensor.data[...] = 0.0
+    out, _ = encode_patches(model, Tensor(patches), train=False, rng=None)
+    return out.data
 
 
 def test_zero_projection_gives_zero_latents():
-    patches = Tensor(np.zeros((2, 3, 5)))
-    out = dcl.project_patches(patches, Tensor(np.zeros((5, 4))), Tensor(np.zeros(4)), Tensor(np.zeros((3, 4))))
-    assert np.array_equal(out.data, np.zeros((2, 3, 4)))
+    out = _encode_projection(np.ones((2, 2, 5)), np.zeros((5, 4)), np.zeros(4), np.zeros((2, 4)))
+    assert np.array_equal(out, np.zeros((2, 2, 4)))
 
 
 def test_identity_projection_passes_patches_through():
-    patches = Tensor(Rng(1).normal((2, 3, 4)))
-    out = dcl.project_patches(patches, Tensor(np.eye(4)), Tensor(np.zeros(4)), Tensor(np.zeros((3, 4))))
-    assert np.allclose(out.data, patches.data)
+    patches = Rng(1).normal((2, 2, 4))
+    out = _encode_projection(patches, np.eye(4), np.zeros(4), np.zeros((2, 4)))
+    assert np.array_equal(out, patches)
 
 
 def test_projection_hand_product():
     p = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     w = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 2.0], [1.0, 1.0, 0.0, 0.0]])
-    want = p @ w
-    out = dcl.project_patches(
-        Tensor(p[None]), Tensor(w), Tensor(np.zeros(4)), Tensor(np.zeros((2, 4)))
-    )
-    assert np.array_equal(out.data[0], want)
-
-
-def test_positional_table_size_is_enforced():
-    patches = Tensor(np.zeros((1, 3, 5)))
-    with pytest.raises(ContractError, match="re-initialize"):
-        dcl.project_patches(patches, Tensor(np.zeros((5, 4))), Tensor(np.zeros(4)), Tensor(np.zeros((7, 4))))
+    b = np.array([0.5, -1.0, 0.0, 2.0])
+    pos = np.array([[0.25, 0.0, -0.5, 1.0], [-0.25, 0.5, 0.0, -1.0]])
+    # p @ w = [[4, 5, 2, 4], [10, 11, 8, 10]]
+    want = np.array([[4.75, 4.0, 1.5, 7.0], [10.25, 10.5, 8.0, 11.0]])
+    assert np.array_equal(_encode_projection(p[None], w, b, pos)[0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from conftest import assert_grad_close, central_diff, grad_of
 from decop import tensor as T
 from decop.data import Dataset, sample_windows, synthetic_sine, synthetic_two_class
-from decop.errors import ContractError
+from decop.errors import ConfigError, ContractError
 from decop.finetune import (
     FinetuneConfig,
     classify_forward,
@@ -66,6 +66,11 @@ def test_forecast_is_deterministic():
 def test_forecast_requires_head():
     with pytest.raises(ContractError, match="forecast head"):
         forecast_forward(_model(), np.zeros((1, 32)), False, None)
+
+
+def test_unknown_task_is_a_config_error():
+    with pytest.raises(ConfigError, match="task"):
+        FinetuneConfig(task="juggle")
 
 
 def test_zero_classify_head_gives_uniform_scores_argmax_zero():

@@ -177,7 +177,8 @@ def test_blend_gradient_through_patchwise_denormalization():
     def loss_value():
         patches = Tensor(patchify_batch(windows, 4, 4))
         stats = ipn.compute_stats(patches, Tensor(windows), blend)
-        return T.mean_all(T.square(ipn.denormalize(Tensor(values), stats, "patchwise")))
+        out = ipn.denormalize(Tensor(values), stats, "patchwise")
+        return T.mean_all(T.mul(out, out))
 
     with Tape() as tape:
         loss = loss_value()

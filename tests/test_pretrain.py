@@ -7,13 +7,14 @@ from conftest import grad_of
 from decop import pretrain
 from decop import tensor as T
 from decop.data import Dataset, patchify_batch, synthetic_sine
+from decop.errors import ConfigError
 from decop.model import ModelDims, ModelState
 from decop.optim import Adam
 from decop.pretrain import (
     BatchOutput,
     PretrainConfig,
     pretrain_batch,
-    random_mask,
+    random_masks,
     recon_loss,
     reconstruction_head,
     run_pretraining,
@@ -33,23 +34,31 @@ def _tiny_model(lookback=32, patch=4, d=6, windows=(2, 3), learner="linear", dro
 
 
 def test_zero_ratio_masks_nothing():
-    assert random_mask(40, 0.0, Rng(1)).sum() == 0
+    assert random_masks(1, 40, 0.0, Rng(1))[0].sum() == 0
 
 
 def test_mask_count_is_floor_of_ratio():
-    mask = random_mask(43, 0.4, Rng(2))
+    mask = random_masks(1, 43, 0.4, Rng(2))[0]
     assert mask.sum() == 17
     assert set(np.unique(mask)) <= {0.0, 1.0}
 
 
 def test_mask_determinism_at_same_stream_position():
-    assert np.array_equal(random_mask(20, 0.5, Rng(3)), random_mask(20, 0.5, Rng(3)))
+    first = random_masks(1, 20, 0.5, Rng(3))[0]
+    assert np.array_equal(first, random_masks(1, 20, 0.5, Rng(3))[0])
 
 
 def test_mask_positions_vary_across_draws():
     stream = Rng(4)
-    draws = {tuple(random_mask(30, 0.3, stream)) for _ in range(8)}
+    draws = {tuple(random_masks(1, 30, 0.3, stream)[0]) for _ in range(8)}
     assert len(draws) > 1
+
+
+def test_config_rejects_out_of_range_fields():
+    with pytest.raises(ConfigError, match="mask ratio"):
+        PretrainConfig(mask_ratio=1.0)
+    with pytest.raises(ConfigError, match="contrastive weight"):
+        PretrainConfig(contrastive_weight=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +126,7 @@ def test_total_gradient_is_sum_of_branch_gradients():
     windows = Rng(8).normal((3, 32))
     params = model.pretrain_parameters()
     cfg = PretrainConfig(mask_ratio=0.4, contrastive_weight=0.25, seed=1)
-    masks = np.stack([random_mask(model.dims.n_patches, 0.4, Rng(9)) for _ in range(3)])
+    masks = np.stack([random_masks(1, model.dims.n_patches, 0.4, Rng(9))[0] for _ in range(3)])
 
     def run(select):
         def build():

@@ -101,13 +101,6 @@ def test_permutation_is_permutation():
     assert sorted(p.tolist()) == list(range(257))
 
 
-def test_choice_without_replacement_distinct_and_in_range():
-    idx = Rng(12).choice_without_replacement(43, 17)
-    assert len(idx) == 17
-    assert len(set(idx.tolist())) == 17
-    assert (idx >= 0).all() and (idx < 43).all()
-
-
 def test_bernoulli_rate():
     m = Rng(13).bernoulli(0.25, 40_000)
     assert abs(m.mean() - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 40_000) * 1.5

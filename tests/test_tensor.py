@@ -23,9 +23,9 @@ def run_backward(build):
 def test_matmul_identity_case():
     a = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     eye = Tensor(np.eye(3))
-    assert np.array_equal(T.matmul(a, eye).data, a.data)
+    assert np.array_equal(T.affine(a, eye, Tensor(np.zeros(3))).data, a.data)
     b = Tensor(np.arange(6.0).reshape(3, 2))
-    assert np.allclose(T.matmul(a, b).data, a.data @ b.data)
+    assert np.allclose(T.affine(a, b, Tensor(np.zeros(2))).data, a.data @ b.data)
 
 
 def test_mean_axis_rows():
@@ -55,8 +55,8 @@ def test_dropout_mask_expectation():
 
 
 def test_shape_mismatch_names_operation():
-    with pytest.raises(DimensionError, match="matmul"):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(DimensionError, match="affine"):
+        T.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
     with pytest.raises(DimensionError, match="add"):
         T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
@@ -76,12 +76,6 @@ def test_sum_gradient_is_ones():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     run_backward(lambda: T.sum_all(x))
     assert np.array_equal(x.grad, np.ones((3, 4)))
-
-
-def test_dot_quadratic_gradient():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    run_backward(lambda: T.dot(x, x))
-    assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def test_non_scalar_loss_rejected():
@@ -136,8 +130,8 @@ def test_mse_through_two_layer_mlp_matches_finite_differences():
     params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
     def loss_tensor():
-        h = T.gelu(T.add(T.matmul(Tensor(x), w1), b1))
-        return T.squared_error(T.add(T.matmul(h, w2), b2), Tensor(target))
+        h = T.gelu(T.affine(Tensor(x), w1, b1))
+        return T.squared_error(T.affine(h, w2, b2), Tensor(target))
 
     run_backward(loss_tensor)
     for name, p in params.items():
@@ -185,10 +179,6 @@ def _sumified(op):
         ("mul", T.mul, [(3, 4), (3, 4)]),
         ("mul_broadcast", T.mul, [(2, 3, 4), (3, 4)]),
         ("div", T.div, [(3, 4), (3, 4)]),
-        ("neg", T.neg, [(3, 4)]),
-        ("matmul", T.matmul, [(3, 4), (4, 5)]),
-        ("transpose", T.transpose, [(3, 4)]),
-        ("dot", T.dot, [(6,), (6,)]),
     ],
 )
 def test_primitive_gradients(name, op, shapes):
@@ -201,15 +191,12 @@ def test_primitive_gradients(name, op, shapes):
     "name, build_op",
     [
         ("sqrt", lambda x: T.sqrt(x)),
-        ("square", lambda x: T.square(x)),
         ("exp", lambda x: T.exp(x)),
         ("log", lambda x: T.log(x)),
         ("gelu", lambda x: T.gelu(x)),
         ("clamp_min", lambda x: T.clamp_min(x, 0.5)),
         ("reshape", lambda x: T.reshape(x, (4, 3))),
-        ("permute", lambda x: T.permute(T.reshape(x, (2, 3, 2)), (2, 0, 1))),
         ("pad_axis", lambda x: T.pad_axis(x, 1, 3)),
-        ("slice_axis", lambda x: T.slice_axis(x, 1, 2)),
         ("sum_axis", lambda x: T.sum_axis(x, 1)),
         ("mean_axis", lambda x: T.mean_axis(x, 0)),
         ("mean_all", lambda x: T.mean_all(x)),
@@ -225,7 +212,8 @@ def test_dropout_gradient_with_pinned_mask():
     x = Tensor(Rng(5).normal((6, 5)), requires_grad=True)
 
     def build():
-        return T.sum_all(T.square(T.dropout(x, 0.4, Rng(77), train=True)))
+        out = T.dropout(x, 0.4, Rng(77), train=True)
+        return T.sum_all(T.mul(out, out))
 
     _fd_check("dropout", build, [x])
 
@@ -242,8 +230,9 @@ def test_determinism_identical_outputs_and_gradients():
         x = Tensor(rng.normal((5, 4)), requires_grad=True)
         w = Tensor(rng.normal((4, 4)), requires_grad=True)
         with Tape() as tape:
-            out = T.dropout(T.gelu(T.matmul(x, w)), 0.3, rng.child("drop"), train=True)
-            loss = T.mean_all(T.square(out))
+            hidden = T.gelu(T.affine(x, w, Tensor(np.zeros(4))))
+            out = T.dropout(hidden, 0.3, rng.child("drop"), train=True)
+            loss = T.mean_all(T.mul(out, out))
         tape.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -255,7 +244,7 @@ def test_determinism_identical_outputs_and_gradients():
 def test_finite_outputs_on_finite_inputs():
     rng = Rng(17)
     x = Tensor(rng.normal((8, 8)) * 5)
-    for out in (T.gelu(x), T.exp(T.mul(x, Tensor(0.1))), T.sqrt(T.add(T.square(x), Tensor(1e-5)))):
+    for out in (T.gelu(x), T.exp(T.mul(x, Tensor(0.1))), T.sqrt(T.add(T.mul(x, x), Tensor(1e-5)))):
         assert np.isfinite(out.data).all()
 
 
@@ -285,14 +274,22 @@ def test_masked_fill_rows_forward_and_gradient():
     out = T.masked_fill_rows(z, mask, fill)
     assert np.array_equal(out.data[0, 0], fill.data)
     assert np.array_equal(out.data[0, 1], z.data[0, 1])
-    _fd_check("masked_fill", lambda: T.sum_all(T.square(T.masked_fill_rows(z, mask, fill))), [z, fill])
+    def build():
+        out = T.masked_fill_rows(z, mask, fill)
+        return T.sum_all(T.mul(out, out))
+
+    _fd_check("masked_fill", build, [z, fill])
 
 
 def test_narrow_gradient_and_values():
     x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
     out = T.narrow(x, 1, 1, 2)
     assert np.array_equal(out.data, x.data[:, 1:3])
-    _fd_check("narrow", lambda: T.sum_all(T.square(T.narrow(x, 1, 1, 2))), [x])
+    def build():
+        out = T.narrow(x, 1, 1, 2)
+        return T.sum_all(T.mul(out, out))
+
+    _fd_check("narrow", build, [x])
 
 
 def test_concat_rows_gradient_and_values():
@@ -300,7 +297,11 @@ def test_concat_rows_gradient_and_values():
     b = Tensor(np.zeros((4, 3)), requires_grad=True)
     out = T.concat_rows(a, b)
     assert out.shape == (6, 3)
-    _fd_check("concat", lambda: T.sum_all(T.square(T.concat_rows(a, b))), [a, b])
+    def build():
+        out = T.concat_rows(a, b)
+        return T.sum_all(T.mul(out, out))
+
+    _fd_check("concat", build, [a, b])
 
 
 def test_standardize_rows_have_zero_mean_and_unit_variance():
@@ -323,7 +324,11 @@ def test_standardize_gradient():
     weights = Tensor(rng.normal((2, 3, 5)))
     _fd_check("standardize", lambda: T.sum_all(T.mul(T.standardize(x), weights)), [x])
     x.grad = None
-    _fd_check("standardize_sq", lambda: T.sum_all(T.square(T.mul(T.standardize(x), weights))), [x])
+    def build_sq():
+        out = T.mul(T.standardize(x), weights)
+        return T.sum_all(T.mul(out, out))
+
+    _fd_check("standardize_sq", build_sq, [x])
 
 
 def test_standardize_backward_leaves_incoming_gradient_intact():
