@@ -9,12 +9,12 @@ on a small reverse-mode autodiff core with fully reproducible streams.
 from .config import RunConfig, load_config, parse_config_text
 from .data import Dataset, DatasetSpec, PatchSet, WindowSample, load_csv, patchify, unpatchify
 from .dcl import DclBlock, DclConfig
-from .finetune import FinetuneConfig, Metrics, compute_metrics, run_finetuning
+from .finetune import Metrics, compute_metrics, run_finetuning
 from .icm import FilterConfig, Spectrum, contrastive_loss, dft_forward, dft_inverse
 from .ipn import NormStats, compute_stats, denormalize, normalize
 from .model import ModelDims, ModelState
 from .optim import Adam
-from .pretrain import PretrainConfig, run_pretraining
+from .pretrain import run_pretraining
 from .rng import Rng
 from .tensor import Tape, Tensor
 
@@ -27,13 +27,11 @@ __all__ = [
     "DclBlock",
     "DclConfig",
     "FilterConfig",
-    "FinetuneConfig",
     "Metrics",
     "ModelDims",
     "ModelState",
     "NormStats",
     "PatchSet",
-    "PretrainConfig",
     "Rng",
     "RunConfig",
     "Spectrum",

@@ -2,7 +2,7 @@
 
 Layout::
 
-    DECOP-CKPT v1\n
+    DECOP-CKPT v2\n
     config <key>=<value>\n        (structural fields, fixed order)
     param <name> f32 <d0>x<d1>...\n   (one per parameter, saved order)
     END-HEADER\n
@@ -12,6 +12,12 @@ Training math is float64; serialization narrows to float32. Loading
 widens back, so save -> load -> save is byte-identical. Structural
 fields must match the loading run's configuration exactly; channel
 count is deliberately not structural (weights are channel independent).
+
+Version 2 marks the head convention: task heads read the encoder output
+standardized per patch. Version 1 does not record it, and v1 heads were
+trained on the raw encoder output until the heads changed, so a v1 file
+loads only when it holds no ``head.*`` parameters (pretrained
+checkpoints).
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import numpy as np
 from .errors import CheckpointError
 from .model import ModelDims, ModelState
 
-MAGIC = "DECOP-CKPT v1"
+MAGIC = "DECOP-CKPT v2"
+V1_MAGIC = "DECOP-CKPT v1"
 
 _STRUCTURAL = ("lookback", "patch_size", "stride", "model_dim", "windows", "learner", "hidden_mult")
 
@@ -90,7 +97,7 @@ def _parse_header(blob: bytes, path: str):
         lines = blob[:cut].decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: header is not UTF-8 text (byte {exc.start})") from None
-    if not lines or lines[0] != MAGIC:
+    if not lines or lines[0] not in (MAGIC, V1_MAGIC):
         raise CheckpointError(f"{path}: not a {MAGIC} file")
     config: dict[str, str] = {}
     manifest: list[tuple[str, tuple[int, ...]]] = []
@@ -106,6 +113,12 @@ def _parse_header(blob: bytes, path: str):
             manifest.append((name, _parse_shape(shape_text, name, path)))
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")
+    if lines[0] == V1_MAGIC and any(name.startswith("head.") for name, _ in manifest):
+        raise CheckpointError(
+            f"{path}: {V1_MAGIC} does not record whether its task heads read the encoder "
+            "output standardized, as heads now do, so its predictions may not reproduce; "
+            "fine-tune again to write a v2 checkpoint"
+        )
     return config, manifest, blob[cut + len(marker):]
 
 

@@ -35,9 +35,9 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, DecopError
-from .finetune import FinetuneConfig, run_finetuning
+from .finetune import evaluate, run_finetuning
 from .model import ModelState, normalize_windows
-from .pretrain import PretrainConfig, run_pretraining
+from .pretrain import run_pretraining
 from .rng import Rng
 
 
@@ -47,7 +47,8 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     if not os.path.exists(cfg.dataset):
         raise ConfigError(f"dataset file not found: {cfg.dataset}")
     min_rows = cfg.lookback + (cfg.horizon if cfg.task == "forecast" else 0)
-    spec = DatasetSpec(cfg.dataset_name, cfg.dataset, min_rows=min_rows, ratios=cfg.split_ratios)
+    classes = cfg.classes if cfg.task == "classify" else 0
+    spec = DatasetSpec(cfg.dataset_name, cfg.dataset, min_rows, cfg.split_ratios, classes)
     return load_csv(cfg.dataset, spec)
 
 
@@ -71,18 +72,9 @@ def _fmt(v) -> str:
 def cmd_pretrain(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     model = _build_model(cfg)
-    pre_cfg = PretrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        mask_ratio=cfg.mask_ratio,
-        contrastive_weight=cfg.contrastive_weight,
-        keep_fraction=cfg.keep_fraction,
-        seed=cfg.seed,
-    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
-    history, best = run_pretraining(model, dataset, pre_cfg)
+    history, best = run_pretraining(model, dataset, cfg)
     _write_metrics_csv(
         os.path.join(cfg.out_dir, "pretrain_metrics.csv"),
         ["epoch", "recon_loss", "contrastive_loss", "total_loss"],
@@ -103,33 +95,18 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     return 0
 
 
-def _finetune_common(cfg: RunConfig, ckpt_path: str | None):
-    dataset = _load_dataset(cfg)
-    model = _build_model(cfg)
-    if ckpt_path is not None:
-        checkpoint.load(ckpt_path, model)
-    fin_cfg = FinetuneConfig(
-        task=cfg.task,
-        horizon=cfg.horizon,
-        classes=cfg.classes,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        patience=cfg.patience,
-        seed=cfg.seed,
-    )
-    return dataset, model, fin_cfg
-
-
 def _report_text(metrics) -> str:
     return "".join(f"{key}={value:.10g}\n" for key, value in metrics.as_dict().items())
 
 
 def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
-    dataset, model, fin_cfg = _finetune_common(cfg, ckpt_path)
+    dataset = _load_dataset(cfg)
+    model = _build_model(cfg)
+    if ckpt_path is not None:
+        checkpoint.load(ckpt_path, model)
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
-    history, test_metrics = run_finetuning(model, dataset, fin_cfg)
+    history, test_metrics = run_finetuning(model, dataset, cfg)
     rows = []
     for m in history:
         row = [m.epoch, m.train_loss] + [m.val.as_dict()[k] for k in sorted(m.val.as_dict())]
@@ -152,11 +129,10 @@ def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
 
 
 def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
-    from .finetune import evaluate
-
-    dataset, model, fin_cfg = _finetune_common(cfg, None)
+    dataset = _load_dataset(cfg)
+    model = _build_model(cfg)
     checkpoint.load(ckpt_path, model, require_heads=True)
-    metrics = evaluate(model, dataset, fin_cfg, "test")
+    metrics = evaluate(model, dataset, cfg, "test")
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.out_dir, "report.txt"), _report_text(metrics))
     print(_report_text(metrics), end="")

@@ -58,8 +58,13 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
-        for name in ("lookback", "patch_size", "stride", "model_dim", "epochs", "batch_size", "lr"):
+        for name in ("patch_size", "stride", "model_dim", "epochs", "batch_size", "lr"):
             positive(name)
+        # a frequency-filtered view needs at least two points per window
+        if self.lookback < 2:
+            raise ConfigError(f"lookback must be >= 2, got {self.lookback}")
+        if self.hidden_mult < 1:
+            raise ConfigError(f"hidden_mult must be >= 1, got {self.hidden_mult}")
         if self.task not in ("forecast", "classify"):
             raise ConfigError(f"task must be forecast or classify, got '{self.task}'")
         if self.task == "forecast" and self.horizon <= 0:

@@ -36,6 +36,8 @@ class DatasetSpec:
     path: str
     min_rows: int = 0
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
+    # a classify run needs a label column with labels in [0, classes); 0: none needed
+    classes: int = 0
 
     def protocol(self) -> str:
         low = self.name.lower()
@@ -208,7 +210,8 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     """Load, standardize, and split a dataset CSV.
 
     Rows are numbered from 1 at the header for error reporting. Channel
-    cells must be finite numbers.
+    cells must be finite numbers. With ``spec.classes`` set, a ``label``
+    column is required and every label must lie in ``[0, classes)``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -222,6 +225,8 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     channel_cols, label_cols = split_columns(header)
     if not channel_cols:
         raise ParseError(f"{path}: no channel columns")
+    if spec.classes and not label_cols:
+        raise ParseError(f"{path}: no 'label' column; a classify run needs one")
 
     n_rows = len(lines) - 1
     values = np.empty((n_rows, len(channel_cols)), dtype=np.float64)
@@ -251,6 +256,13 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
         raise ParseError(
             f"{path}: row {r + 2}, column '{header[c]}': not finite: {lines[r + 1].split(',')[c]!r}"
         )
+    if spec.classes:
+        outside = (labels < 0) | (labels >= spec.classes)
+        if outside.any():
+            r = int(np.argmax(outside))
+            raise ParseError(
+                f"{path}: row {r + 2}, column 'label': {labels[r]} is not a class in [0, {spec.classes})"
+            )
 
     if spec.min_rows and n_rows < spec.min_rows:
         raise SizeError(f"{path}: {n_rows} usable rows, need at least {spec.min_rows}")

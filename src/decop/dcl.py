@@ -16,35 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
 from .rng import Rng
 from .tensor import Tensor
-
-LEARNER_KINDS = ("linear", "mlp")
 
 
 @dataclass
 class DclConfig:
+    """Encoder settings; RunConfig.validate checks every value."""
+
     model_dim: int
     windows: tuple[int, ...]
     learner: str = "linear"
     dropout: float = 0.1
     hidden_mult: int = 1
-
-    def __post_init__(self):
-        self.windows = tuple(int(w) for w in self.windows)
-        if len(self.windows) < 1:
-            raise ConfigError("need at least one encoder block")
-        if any(w < 1 for w in self.windows):
-            raise ConfigError(f"window sizes must be >= 1: {self.windows}")
-        if list(self.windows) != sorted(self.windows):
-            raise ConfigError(f"window sizes must be non-decreasing: {self.windows}")
-        if self.learner not in LEARNER_KINDS:
-            raise ConfigError(f"learner must be one of {LEARNER_KINDS}, got '{self.learner}'")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.model_dim < 1 or self.hidden_mult < 1:
-            raise ConfigError("model_dim and hidden_mult must be positive")
 
 
 @dataclass
@@ -76,7 +60,8 @@ def init_block(cfg: DclConfig, window: int, rng: Rng) -> DclBlock:
     return block
 
 
-def block_param_count(cfg: DclConfig, window: int) -> int:
+def block_param_count(cfg, window: int) -> int:
+    """Learner parameters of one block; ``cfg`` is a DclConfig or ModelDims."""
     width = window * cfg.model_dim
     if cfg.learner == "linear":
         return width * width + width

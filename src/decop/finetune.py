@@ -13,8 +13,7 @@ Forecasting flattens the standardized patch grid into one affine map
 onto the horizon and maps predictions back through the window's
 instance statistics. Classification mean-pools the standardized patches
 into an affine map onto class scores, trained with softmax
-cross-entropy. Fine-tuning updates the full model (encoder and head); a
-frozen-encoder probe mode exists for diagnostics.
+cross-entropy. Fine-tuning updates the full model (encoder and head).
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .data import Dataset, batches, sample_windows
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .ipn import denormalize
 from .model import ModelState, encode_patches, normalize_windows
 from .optim import Adam, train_step
@@ -34,21 +34,9 @@ from .rng import Rng
 from .tensor import Tape, Tensor
 
 
-@dataclass
-class FinetuneConfig:
-    task: str = "forecast"
-    horizon: int = 96
-    classes: int = 2
-    epochs: int = 10
-    batch_size: int = 64
-    lr: float = 1e-4
-    patience: int = 5
-    seed: int = 42
-    freeze_encoder: bool = False
-
-    def __post_init__(self):
-        if self.task not in ("forecast", "classify"):
-            raise ConfigError(f"task must be forecast or classify, got '{self.task}'")
+# former stage-config name, kept for callers that build it by keyword
+# (bench/harness.py)
+FinetuneConfig = RunConfig
 
 
 @dataclass
@@ -141,7 +129,7 @@ def compute_metrics(preds: np.ndarray, targets: np.ndarray, task: str, classes: 
     )
 
 
-def evaluate(model: ModelState, dataset: Dataset, cfg: FinetuneConfig, split: str) -> Metrics:
+def evaluate(model: ModelState, dataset: Dataset, cfg: RunConfig, split: str) -> Metrics:
     """Metrics over a whole split in eval mode (no dropout, no tape)."""
     horizon = cfg.horizon if cfg.task == "forecast" else 0
     samples = sample_windows(dataset, model.dims.lookback, horizon, split)
@@ -177,7 +165,7 @@ def selection_value(metrics: Metrics, task: str) -> float:
 def finetune_epoch(
     model: ModelState,
     dataset: Dataset,
-    cfg: FinetuneConfig,
+    cfg: RunConfig,
     optimizer: Adam,
     epoch: int,
     streams: dict[str, Rng],
@@ -204,7 +192,7 @@ def finetune_epoch(
 
 
 def run_finetuning(
-    model: ModelState, dataset: Dataset, cfg: FinetuneConfig
+    model: ModelState, dataset: Dataset, cfg: RunConfig
 ) -> tuple[list[FinetuneEpochMetrics], Metrics]:
     """Fine-tune with validation-based selection and patience.
 
@@ -216,12 +204,7 @@ def run_finetuning(
         model.add_forecast_head(cfg.horizon, root)
     if cfg.task == "classify" and "classify_w" not in model.heads:
         model.add_classify_head(cfg.classes, root)
-    params = (
-        {f"head.{k}": v for k, v in model.heads.items()}
-        if cfg.freeze_encoder
-        else model.finetune_parameters()
-    )
-    optimizer = Adam(params, lr=cfg.lr)
+    optimizer = Adam(model.finetune_parameters(), lr=cfg.lr)
     history: list[FinetuneEpochMetrics] = []
     best = model.snapshot()
     best_value = np.inf

@@ -38,12 +38,11 @@ def _groups(n: int, window: int) -> int:
 
 
 def encoder_param_count(dims: ModelDims) -> int:
-    cfg_like = _cfg(dims)
     total = dims.patch_size * dims.model_dim + dims.model_dim  # projection
     total += dims.n_patches * dims.model_dim  # positional table
     total += 1  # normalization blend
     for w in dims.windows:
-        total += block_param_count(cfg_like, w)
+        total += block_param_count(dims, w)
     return total
 
 
@@ -89,18 +88,6 @@ def finetune_report(
     else:
         macs += dims.model_dim * classes
     return StageReport(finetune_param_count(dims, task, horizon, classes), macs, n_channels)
-
-
-def _cfg(dims: ModelDims):
-    from .dcl import DclConfig
-
-    return DclConfig(
-        model_dim=dims.model_dim,
-        windows=dims.windows,
-        learner=dims.learner,
-        hidden_mult=dims.hidden_mult,
-        dropout=0.0,
-    )
 
 
 def format_report(stage: str, report: StageReport) -> str:

@@ -27,16 +27,14 @@ ZERO_NORM = 1e-12
 
 @dataclass
 class FilterConfig:
-    """Retention fraction and the bin budgets it induces for one window length."""
+    """Retention fraction and the bin budgets it induces for one window length.
+
+    RunConfig.validate checks both values (``keep_fraction`` in (0, 1],
+    ``lookback`` >= 2).
+    """
 
     keep_fraction: float
     length: int
-
-    def __post_init__(self):
-        if not 0.0 < self.keep_fraction <= 1.0:
-            raise ConfigError(f"keep fraction must be in (0, 1], got {self.keep_fraction}")
-        if self.length < 2:
-            raise ConfigError(f"window length must be >= 2, got {self.length}")
 
     @property
     def half(self) -> int:
@@ -64,23 +62,22 @@ class Spectrum:
         return np.abs(self.coeffs)
 
 
-_dft_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_dft_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _dft_tables(length: int):
-    """Forward matrix and inverse cos/sin synthesis tables for one length."""
+    """Cos/sin tables and one-sided synthesis weights for one length."""
     if length not in _dft_cache:
         t = np.arange(length)
         k = np.arange(length // 2 + 1)
         angles = 2.0 * np.pi * np.outer(k, t) / length
-        forward = np.exp(-1j * angles)
         # one-sided synthesis weights: DC once, Nyquist (even L) once,
         # every paired bin twice
         weights = np.full(length // 2 + 1, 2.0)
         weights[0] = 1.0
         if length % 2 == 0:
             weights[-1] = 1.0
-        _dft_cache[length] = (forward, np.cos(angles), np.sin(angles), weights)
+        _dft_cache[length] = (np.cos(angles), np.sin(angles), weights)
     return _dft_cache[length]
 
 
@@ -90,7 +87,7 @@ def dft_forward(windows: np.ndarray) -> Spectrum:
     length = windows.shape[1]
     if length < 2:
         raise ContractError(f"dft needs window length >= 2, got {length}")
-    forward, cos_t, sin_t, _ = _dft_tables(length)
+    cos_t, sin_t, _ = _dft_tables(length)
     # two real products instead of promoting the input to complex
     coeffs = (windows @ cos_t.T).astype(np.complex128)
     coeffs.imag = -(windows @ sin_t.T)
@@ -99,7 +96,7 @@ def dft_forward(windows: np.ndarray) -> Spectrum:
 
 def dft_inverse(spec: Spectrum) -> np.ndarray:
     """Real signal from a one-sided spectrum, assuming conjugate symmetry."""
-    _, cos_t, sin_t, weights = _dft_tables(spec.length)
+    cos_t, sin_t, weights = _dft_tables(spec.length)
     scaled = spec.coeffs * weights
     re = np.ascontiguousarray(scaled.real)
     im = np.ascontiguousarray(scaled.imag)

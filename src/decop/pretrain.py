@@ -16,8 +16,8 @@ import numpy as np
 
 from . import icm, ipn
 from . import tensor as T
+from .config import RunConfig
 from .data import Dataset, batches, patchify_batch, sample_windows, unpatchify_batch
-from .errors import ConfigError
 from .icm import ContrastiveDiagnostics, FilterConfig
 from .model import ModelState, encode_patches, normalize_windows
 from .optim import Adam, train_step
@@ -25,21 +25,9 @@ from .rng import Rng
 from .tensor import Tape, Tensor
 
 
-@dataclass
-class PretrainConfig:
-    epochs: int = 20
-    batch_size: int = 64
-    lr: float = 1e-4
-    mask_ratio: float = 0.4
-    contrastive_weight: float = 0.1
-    keep_fraction: float = 0.3
-    seed: int = 42
-
-    def __post_init__(self):
-        if not 0.0 <= self.mask_ratio < 1.0:
-            raise ConfigError(f"mask ratio must be in [0, 1), got {self.mask_ratio}")
-        if self.contrastive_weight < 0.0:
-            raise ConfigError(f"contrastive weight must be >= 0, got {self.contrastive_weight}")
+# former stage-config name, kept for callers that build it by keyword
+# (bench/harness.py, tests/test_acceptance.py)
+PretrainConfig = RunConfig
 
 
 @dataclass
@@ -106,7 +94,7 @@ class BatchOutput:
 def pretrain_batch(
     model: ModelState,
     windows: np.ndarray,
-    cfg: PretrainConfig,
+    cfg: RunConfig,
     mask_stream: Rng | None,
     dropout_stream: Rng | None,
     train: bool = True,
@@ -152,7 +140,7 @@ def pretrain_batch(
 def pretrain_epoch(
     model: ModelState,
     dataset: Dataset,
-    cfg: PretrainConfig,
+    cfg: RunConfig,
     optimizer: Adam,
     epoch: int,
     streams: dict[str, Rng],
@@ -175,7 +163,7 @@ def pretrain_epoch(
 def run_pretraining(
     model: ModelState,
     dataset: Dataset,
-    cfg: PretrainConfig,
+    cfg: RunConfig,
 ) -> tuple[list[EpochMetrics], dict[str, np.ndarray]]:
     """Full pretraining; returns per-epoch metrics and the best snapshot.
 

@@ -88,6 +88,19 @@ def test_serialized_value_count_matches_analytic_params(tmp_path):
     assert len(payload) == 4 * flops.pretrain_param_count(model.dims)
 
 
+def test_v1_pretrained_checkpoint_still_loads(tmp_path):
+    model = _model()
+    path = str(tmp_path / "v1.decop")
+    checkpoint.save(path, model)
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob.replace(b"DECOP-CKPT v2", b"DECOP-CKPT v1", 1))
+    fresh = _model(seed=99)
+    checkpoint.load(path, fresh)
+    for name, p in model.all_parameters().items():
+        narrowed = p.data.astype(np.float32).astype(np.float64)
+        assert np.array_equal(fresh.all_parameters()[name].data, narrowed), name
+
+
 def test_corrupt_payload_detected(tmp_path):
     model = _model()
     path = str(tmp_path / "m.decop")
@@ -151,6 +164,14 @@ def test_bad_value_is_named():
         "windows = 5,2",
         "split_ratios = 0.5,0.2,0.2",
         "horizon = 0",
+        "windows =",
+        "windows = 0",
+        "learner = attention",
+        "dropout = 1.0",
+        "keep_fraction = 1.5",
+        "contrastive_weight = -0.1",
+        "hidden_mult = 0",
+        "lookback = 1\npatch_size = 1\nstride = 1",
     ],
 )
 def test_validation_rejects(text):

@@ -235,7 +235,7 @@ CHECKPOINT_MUTATIONS = {
     "truncated-payload": lambda b: b[:-6],
     "trailing-bytes": lambda b: b + b"\0\0\0\0",
     "missing-end-marker": lambda b: b.replace(b"END-HEADER\n", b"END-HEADER ", 1),
-    "wrong-magic": lambda b: b.replace(b"DECOP-CKPT v1", b"DECOP-CKPT v2", 1),
+    "wrong-magic": lambda b: b.replace(b"DECOP-CKPT v2", b"DECOP-CKPT v9", 1),
 }
 
 
@@ -249,6 +249,40 @@ def test_corrupt_checkpoint_is_one_checkpoint_error(pretrained, capsys, name):
     cfg = _config(tmp_path, data, f"fin-{name}", epochs=1)
     code = main(["finetune", "--config", cfg, "--checkpoint", str(ckpt)])
     _assert_one_error_line(code, capsys, "checkpoint")
+
+
+def test_v1_finetuned_checkpoint_is_one_checkpoint_error(pretrained, capsys):
+    tmp_path, data, _ = pretrained
+    cfg = _config(tmp_path, data, "fin-v1", epochs=1)
+    assert main(["finetune", "--config", cfg]) == 0
+    capsys.readouterr()
+    blob = (tmp_path / "fin-v1" / "ckpt_finetuned.decop").read_bytes()
+    v1 = tmp_path / "finetuned-v1.decop"
+    v1.write_bytes(blob.replace(b"DECOP-CKPT v2", b"DECOP-CKPT v1", 1))
+    code = main(["eval", "--config", cfg, "--checkpoint", str(v1)])
+    assert "fine-tune" in _assert_one_error_line(code, capsys, "checkpoint")
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (np.array([0, 3] * 200), "row 3, column 'label'"),
+        (np.array([0, -1] * 200), "row 3, column 'label'"),
+        (None, "no 'label' column"),
+    ],
+    ids=["label-too-large", "label-negative", "no-label-column"],
+)
+def test_bad_classification_labels_are_one_data_error(tmp_path, capsys, labels, message):
+    from decop.data import synthetic_two_class
+
+    data = tmp_path / "labels.csv"
+    write_csv(str(data), synthetic_two_class(400, 1, seed=9, segment=100)[0], labels)
+    cfg = _config(
+        tmp_path, str(data), "cls-bad", task="classify", classes=2, lookback=32,
+        patch_size=8, stride=8, windows="2,2", epochs=1,
+    )
+    err = _assert_one_error_line(main(["finetune", "--config", cfg]), capsys, "data")
+    assert message in err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])

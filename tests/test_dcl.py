@@ -5,7 +5,6 @@ import pytest
 
 from decop import dcl
 from decop.dcl import DclBlock, DclConfig
-from decop.errors import ConfigError
 from decop.model import ModelDims, ModelState, encode_patches
 from decop.rng import Rng
 from decop.tensor import Tensor
@@ -217,19 +216,6 @@ def test_residual_is_small_at_documented_init_scale():
 
 # ---------------------------------------------------------------------------
 # configuration and accounting
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        _cfg(windows=())
-    with pytest.raises(ConfigError):
-        _cfg(windows=(3, 2))
-    with pytest.raises(ConfigError):
-        _cfg(windows=(0,))
-    with pytest.raises(ConfigError):
-        _cfg(learner="attention")
-    with pytest.raises(ConfigError):
-        _cfg(dropout=1.0)
 
 
 def test_linear_block_parameter_formula():

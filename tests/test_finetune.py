@@ -5,10 +5,10 @@ import pytest
 
 from conftest import assert_grad_close, central_diff, grad_of
 from decop import tensor as T
+from decop.config import RunConfig
 from decop.data import Dataset, sample_windows, synthetic_sine, synthetic_two_class
 from decop.errors import ConfigError, ContractError
 from decop.finetune import (
-    FinetuneConfig,
     classify_forward,
     compute_metrics,
     cross_entropy,
@@ -70,7 +70,7 @@ def test_forecast_requires_head():
 
 def test_unknown_task_is_a_config_error():
     with pytest.raises(ConfigError, match="task"):
-        FinetuneConfig(task="juggle")
+        RunConfig(task="juggle").validate()
 
 
 def test_zero_classify_head_gives_uniform_scores_argmax_zero():
@@ -235,7 +235,7 @@ def test_length_mismatch_rejected():
 def test_zero_lr_leaves_parameters_and_metrics_fixed():
     model = _model()
     ds = _sine_dataset()
-    cfg = FinetuneConfig(task="forecast", horizon=8, epochs=2, batch_size=16, lr=0.0, seed=11)
+    cfg = RunConfig(task="forecast", horizon=8, epochs=2, batch_size=16, lr=0.0, seed=11)
     model.add_forecast_head(8, Rng(11))
     before = model.snapshot()
     initial = evaluate(model, ds, cfg, "test")
@@ -249,7 +249,7 @@ def test_zero_lr_leaves_parameters_and_metrics_fixed():
 def test_finetune_decreases_validation_mse():
     model = _model(lookback=24, d=8)
     ds = _sine_dataset(rows=600, noise=0.02)
-    cfg = FinetuneConfig(task="forecast", horizon=8, epochs=8, batch_size=32, lr=3e-3, seed=12)
+    cfg = RunConfig(task="forecast", horizon=8, epochs=8, batch_size=32, lr=3e-3, seed=12)
     history, test_metrics = run_finetuning(model, ds, cfg)
     assert history[-1].val.mse < history[0].val.mse
     assert np.isfinite(test_metrics.mse)
@@ -258,7 +258,7 @@ def test_finetune_decreases_validation_mse():
 def test_noiseless_sine_is_learned_to_low_error():
     model = _model(lookback=48, patch=6, d=10, windows=(2, 4), seed=13)
     ds = _sine_dataset(rows=900, noise=0.0, seed=14)
-    cfg = FinetuneConfig(task="forecast", horizon=8, epochs=25, batch_size=64, lr=5e-3, seed=13, patience=25)
+    cfg = RunConfig(task="forecast", horizon=8, epochs=25, batch_size=64, lr=5e-3, seed=13, patience=25)
     _, test_metrics = run_finetuning(model, ds, cfg)
     assert test_metrics.mse < 0.05
 
@@ -305,7 +305,7 @@ def test_dataset_level_classification_learns_above_chance():
     ds = Dataset("cls", (values - mean) / std, (cut, val_cut, 900), mean, std, labels)
     dims = ModelDims(32, 8, 8, 8, (2,), "mlp")
     model = ModelState(dims, dropout=0.0, blend_init=0.01, rng=Rng(16))
-    cfg = FinetuneConfig(task="classify", classes=2, epochs=20, batch_size=64, lr=5e-3, seed=16, patience=20)
+    cfg = RunConfig(task="classify", classes=2, epochs=20, batch_size=64, lr=5e-3, seed=16, patience=20)
     run_finetuning(model, ds, cfg)
     train_metrics = evaluate(model, ds, cfg, "train")
     # windows straddling a segment change carry mixed content, so perfection
@@ -317,7 +317,7 @@ def test_same_seed_same_metric_trajectory():
     def run():
         model = _model(seed=17)
         ds = _sine_dataset(rows=300, seed=18)
-        cfg = FinetuneConfig(task="forecast", horizon=4, epochs=2, batch_size=16, lr=1e-3, seed=17)
+        cfg = RunConfig(task="forecast", horizon=4, epochs=2, batch_size=16, lr=1e-3, seed=17)
         history, test_metrics = run_finetuning(model, ds, cfg)
         return [(h.train_loss, h.val.mse) for h in history], test_metrics.mse
 
@@ -332,7 +332,7 @@ def test_denormalization_consistency_against_direct_statistics():
     model.heads["forecast_w"].data[...] = 0.0
     model.heads["forecast_b"].data[...] = 0.0
     ds = _sine_dataset(rows=300, seed=20)
-    cfg = FinetuneConfig(task="forecast", horizon=6, epochs=1, batch_size=32, seed=19)
+    cfg = RunConfig(task="forecast", horizon=6, epochs=1, batch_size=32, seed=19)
     got = evaluate(model, ds, cfg, "test")
     samples = sample_windows(ds, model.dims.lookback, 6, "test")
     direct = np.mean([np.mean((s.y - s.x.mean()) ** 2) for s in samples])
@@ -353,18 +353,7 @@ def test_cross_channel_count_checkpoint_reuse():
         fresh = _model(seed=99)
         checkpoint.load(path, fresh)
     ds = _sine_dataset(rows=300, channels=4, seed=22)
-    cfg = FinetuneConfig(task="forecast", horizon=4, epochs=1, batch_size=16, lr=1e-3, seed=21)
+    cfg = RunConfig(task="forecast", horizon=4, epochs=1, batch_size=16, lr=1e-3, seed=21)
     history, test_metrics = run_finetuning(fresh, ds, cfg)
     assert np.isfinite(test_metrics.mse)
 
-
-def test_frozen_encoder_probe_only_moves_the_head():
-    model = _model(seed=23)
-    ds = _sine_dataset(rows=300, seed=24)
-    cfg = FinetuneConfig(
-        task="forecast", horizon=4, epochs=1, batch_size=16, lr=1e-3, seed=23, freeze_encoder=True
-    )
-    run_finetuning(model, ds, cfg)
-    fresh = _model(seed=23)
-    for name, p in fresh.encoder_parameters().items():
-        assert np.array_equal(p.data, model.encoder_parameters()[name].data), name

@@ -6,7 +6,7 @@ import pytest
 from conftest import naive_dft, naive_idft
 from decop import icm
 from decop import tensor as T
-from decop.errors import ConfigError, ContractError
+from decop.errors import ContractError
 from decop.icm import ContrastiveDiagnostics, FilterConfig, Spectrum
 from decop.rng import Rng
 from decop.tensor import Tape, Tensor
@@ -159,13 +159,6 @@ def test_masking_the_only_active_bin_zeroes_the_signal():
     mask = np.ones((1, 32))
     mask[0, 4] = 0.0
     assert np.abs(icm.apply_and_invert(spec, mask)).max() < 1e-8
-
-
-def test_zero_retention_rejected():
-    with pytest.raises(ConfigError):
-        FilterConfig(0.0, 64)
-    with pytest.raises(ConfigError):
-        FilterConfig(1.5, 64)
 
 
 def test_removed_component_is_nearly_zero_mean():

@@ -6,13 +6,12 @@ import pytest
 from conftest import grad_of
 from decop import pretrain
 from decop import tensor as T
+from decop.config import RunConfig
 from decop.data import Dataset, patchify_batch, synthetic_sine
-from decop.errors import ConfigError
 from decop.model import ModelDims, ModelState
 from decop.optim import Adam
 from decop.pretrain import (
     BatchOutput,
-    PretrainConfig,
     pretrain_batch,
     random_masks,
     recon_loss,
@@ -52,13 +51,6 @@ def test_mask_positions_vary_across_draws():
     stream = Rng(4)
     draws = {tuple(random_masks(1, 30, 0.3, stream)[0]) for _ in range(8)}
     assert len(draws) > 1
-
-
-def test_config_rejects_out_of_range_fields():
-    with pytest.raises(ConfigError, match="mask ratio"):
-        PretrainConfig(mask_ratio=1.0)
-    with pytest.raises(ConfigError, match="contrastive weight"):
-        PretrainConfig(contrastive_weight=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +117,7 @@ def test_total_gradient_is_sum_of_branch_gradients():
     model = _tiny_model()
     windows = Rng(8).normal((3, 32))
     params = model.pretrain_parameters()
-    cfg = PretrainConfig(mask_ratio=0.4, contrastive_weight=0.25, seed=1)
+    cfg = RunConfig(mask_ratio=0.4, contrastive_weight=0.25, seed=1)
     masks = np.stack([random_masks(1, model.dims.n_patches, 0.4, Rng(9))[0] for _ in range(3)])
 
     def run(select):
@@ -146,7 +138,7 @@ def test_total_gradient_is_sum_of_branch_gradients():
 def test_both_views_receive_gradients_when_weighted():
     model = _tiny_model()
     windows = Rng(10).normal((2, 32))
-    cfg = PretrainConfig(contrastive_weight=0.5, seed=2)
+    cfg = RunConfig(contrastive_weight=0.5, seed=2)
     params = model.pretrain_parameters()
     grads = grad_of(
         lambda: pretrain_batch(model, windows, cfg, Rng(11), None, train=False).contrastive,
@@ -165,7 +157,7 @@ def _toy_dataset(rows=160, channels=2, seed=1):
 
 def test_pretraining_reduces_loss_on_toy_data():
     model = _tiny_model(lookback=24, patch=4, d=8, windows=(2, 3))
-    cfg = PretrainConfig(epochs=6, batch_size=16, lr=3e-3, seed=5)
+    cfg = RunConfig(epochs=6, batch_size=16, lr=3e-3, seed=5)
     history, best = run_pretraining(model, _toy_dataset(), cfg)
     assert history[-1].total < history[0].total
     assert set(best) == set(model.snapshot())
@@ -175,7 +167,7 @@ def test_constant_dataset_with_zero_weight_fits_instantly():
     values = np.full((120, 1), 7.0)
     ds = Dataset("const", np.zeros_like(values), (96, 108, 120), np.array([7.0]), np.array([1.0]))
     model = _tiny_model(lookback=16, patch=4, d=4, windows=(1,))
-    cfg = PretrainConfig(epochs=5, batch_size=16, lr=3e-2, contrastive_weight=0.0, seed=6)
+    cfg = RunConfig(epochs=5, batch_size=16, lr=3e-2, contrastive_weight=0.0, seed=6)
     history, _ = run_pretraining(model, ds, cfg)
     assert history[-1].recon < 1e-3
     assert history[-1].recon < 0.05 * history[0].recon
@@ -184,7 +176,7 @@ def test_constant_dataset_with_zero_weight_fits_instantly():
 def test_identical_seeds_identical_trajectories():
     def run():
         model = _tiny_model(lookback=24, patch=4, d=6)
-        cfg = PretrainConfig(epochs=2, batch_size=8, seed=9)
+        cfg = RunConfig(epochs=2, batch_size=8, seed=9)
         history, _ = run_pretraining(model, _toy_dataset(seed=3), cfg)
         return [(m.recon, m.contrastive, m.total) for m in history]
 
@@ -198,7 +190,7 @@ def test_nonfinite_loss_aborts_with_batch_diagnostic():
     model = _tiny_model(lookback=16, patch=4, d=4, windows=(1,))
     model.proj_w.data[...] = np.nan
     ds = _toy_dataset(rows=80)
-    cfg = PretrainConfig(epochs=1, batch_size=8, seed=10)
+    cfg = RunConfig(epochs=1, batch_size=8, seed=10)
     streams = {name: Rng(10).child(name) for name in ("shuffle", "mask", "dropout")}
     with pytest.raises(NumericError, match="batch 0"):
         pretrain_epoch(model, ds, cfg, Adam(model.pretrain_parameters()), 1, streams)
