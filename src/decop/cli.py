@@ -156,11 +156,8 @@ def cmd_filter_viz(cfg: RunConfig, channel: int, out_path: str | None) -> int:
     dataset = _load_dataset(cfg)
     if not 0 <= channel < dataset.n_channels:
         raise ConfigError(f"channel {channel} out of range [0, {dataset.n_channels})")
-    samples = sample_windows(dataset, cfg.lookback, 0, "test")
-    ours = [s for s in samples if s.channel == channel]
-    if not ours:
-        raise ConfigError("test split has no window to visualize")
-    window = ours[0].x[None, :]
+    # samples are position-major, channel-minor: the first window of channel c is samples[c]
+    window = sample_windows(dataset, cfg.lookback, 0, "test")[channel].x[None, :]
 
     normalized, _ = normalize_windows(_build_model(cfg), window)
     anchor = unpatchify_batch(normalized.data, cfg.stride, cfg.lookback)

@@ -210,8 +210,9 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     """Load, standardize, and split a dataset CSV.
 
     Rows are numbered from 1 at the header for error reporting. Channel
-    cells must be finite numbers. With ``spec.classes`` set, a ``label``
-    column is required and every label must lie in ``[0, classes)``.
+    cells must be finite numbers and labels integers. With ``spec.classes``
+    set, a ``label`` column is required and every label must lie in
+    ``[0, classes)``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -243,11 +244,16 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
                     f"{path}: row {r + 2}, column '{header[c]}': not numeric: {cells[c]!r}"
                 ) from None
         if labels is not None:
+            cell = cells[label_cols[0]]
             try:
-                labels[r] = int(float(cells[label_cols[0]]))
+                label = float(cell)
+                if not label.is_integer():
+                    raise ValueError(cell)
+                # an integral label beyond the int64 range overflows here
+                labels[r] = label
             except (ValueError, OverflowError):
                 raise ParseError(
-                    f"{path}: row {r + 2}, column 'label': not an integer: {cells[label_cols[0]]!r}"
+                    f"{path}: row {r + 2}, column 'label': not an integer: {cell!r}"
                 ) from None
     finite = np.isfinite(values)
     if not finite.all():
@@ -296,14 +302,15 @@ def sample_windows(
     Position-major, channel-minor order; pass a stream to shuffle for
     training. ``horizon == 0`` yields look-back-only windows, with labels
     attached (taken at the window's last row) when the dataset has them.
+    A split too short for one window is a :class:`SizeError`.
     """
     start, end = ds.split_range(split)
     n_pos = count_positions(ds, lookback, horizon, split)
     if n_pos == 0:
-        import warnings
-
-        warnings.warn(f"split '{split}' is shorter than {lookback + horizon}; no samples")
-        return []
+        raise SizeError(
+            f"{ds.name}: split '{split}' has {end - start} rows, but one window needs "
+            f"lookback + horizon = {lookback + horizon}"
+        )
     samples = []
     for p in range(n_pos):
         lo = start + p

@@ -142,8 +142,6 @@ def evaluate(model: ModelState, dataset: Dataset, cfg: RunConfig, split: str) ->
             scores = classify_forward(model, x, False, None).data
             preds.append(scores.argmax(axis=1))
             targets.append(labels)
-    if not preds:
-        raise ContractError(f"split '{split}' has no samples to evaluate")
     return compute_metrics(
         np.concatenate(preds), np.concatenate(targets), cfg.task, classes=cfg.classes
     )
@@ -186,9 +184,7 @@ def finetune_epoch(
         loss_sum += train_step(tape, loss, optimizer, epoch, index)
         n_batches += 1
     val = evaluate(model, dataset, cfg, "val")
-    return FinetuneEpochMetrics(
-        epoch, loss_sum / max(n_batches, 1), val, time.perf_counter() - started
-    )
+    return FinetuneEpochMetrics(epoch, loss_sum / n_batches, val, time.perf_counter() - started)
 
 
 def run_finetuning(
@@ -198,6 +194,7 @@ def run_finetuning(
 
     Restores the best-validation parameters, then reports test metrics.
     """
+    cfg.validate()
     root = Rng(cfg.seed)
     streams = {name: root.child(name) for name in ("shuffle", "dropout")}
     if cfg.task == "forecast" and "forecast_w" not in model.heads:

@@ -62,45 +62,21 @@ class Spectrum:
         return np.abs(self.coeffs)
 
 
-_dft_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _dft_tables(length: int):
-    """Cos/sin tables and one-sided synthesis weights for one length."""
-    if length not in _dft_cache:
-        t = np.arange(length)
-        k = np.arange(length // 2 + 1)
-        angles = 2.0 * np.pi * np.outer(k, t) / length
-        # one-sided synthesis weights: DC once, Nyquist (even L) once,
-        # every paired bin twice
-        weights = np.full(length // 2 + 1, 2.0)
-        weights[0] = 1.0
-        if length % 2 == 0:
-            weights[-1] = 1.0
-        _dft_cache[length] = (np.cos(angles), np.sin(angles), weights)
-    return _dft_cache[length]
-
-
 def dft_forward(windows: np.ndarray) -> Spectrum:
     """One-sided DFT of each row: X[k] = sum_t x[t] exp(-2 pi i k t / L)."""
     windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     length = windows.shape[1]
     if length < 2:
         raise ContractError(f"dft needs window length >= 2, got {length}")
-    cos_t, sin_t, _ = _dft_tables(length)
-    # two real products instead of promoting the input to complex
-    coeffs = (windows @ cos_t.T).astype(np.complex128)
-    coeffs.imag = -(windows @ sin_t.T)
-    return Spectrum(coeffs, length)
+    return Spectrum(np.fft.rfft(windows, axis=1), length)
 
 
 def dft_inverse(spec: Spectrum) -> np.ndarray:
-    """Real signal from a one-sided spectrum, assuming conjugate symmetry."""
-    cos_t, sin_t, weights = _dft_tables(spec.length)
-    scaled = spec.coeffs * weights
-    re = np.ascontiguousarray(scaled.real)
-    im = np.ascontiguousarray(scaled.imag)
-    return (re @ cos_t - im @ sin_t) / spec.length
+    """Real signal from a one-sided spectrum, assuming conjugate symmetry.
+
+    The imaginary parts of the DC and (even L) Nyquist bins are ignored.
+    """
+    return np.fft.irfft(spec.coeffs, n=spec.length, axis=1)
 
 
 def build_fmask(spec: Spectrum, cfg: FilterConfig) -> np.ndarray:

@@ -156,7 +156,7 @@ def pretrain_epoch(
         total = train_step(tape, out.total, optimizer, epoch, index)
         sums += (float(out.recon.data), float(out.contrastive.data), total)
         n_batches += 1
-    recon, contrastive, total = sums / max(n_batches, 1)
+    recon, contrastive, total = sums / n_batches
     return EpochMetrics(epoch, recon, contrastive, total, time.perf_counter() - started)
 
 
@@ -169,6 +169,7 @@ def run_pretraining(
 
     Best means lowest epoch-mean training loss.
     """
+    cfg.validate()
     root = Rng(cfg.seed)
     streams = {name: root.child(name) for name in ("shuffle", "mask", "dropout")}
     optimizer = Adam(model.pretrain_parameters(), lr=cfg.lr)

@@ -269,8 +269,13 @@ def test_v1_finetuned_checkpoint_is_one_checkpoint_error(pretrained, capsys):
         (np.array([0, 3] * 200), "row 3, column 'label'"),
         (np.array([0, -1] * 200), "row 3, column 'label'"),
         (None, "no 'label' column"),
+        (np.array([0, 1.5, 1, 0.9] * 100), "row 3, column 'label': not an integer: '1.5'"),
+        (np.array([0, 1e300] * 200), "row 3, column 'label': not an integer: '1e+300'"),
     ],
-    ids=["label-too-large", "label-negative", "no-label-column"],
+    ids=[
+        "label-too-large", "label-negative", "no-label-column", "label-fractional",
+        "label-beyond-int64",
+    ],
 )
 def test_bad_classification_labels_are_one_data_error(tmp_path, capsys, labels, message):
     from decop.data import synthetic_two_class
@@ -283,6 +288,15 @@ def test_bad_classification_labels_are_one_data_error(tmp_path, capsys, labels, 
     )
     err = _assert_one_error_line(main(["finetune", "--config", cfg]), capsys, "data")
     assert message in err
+
+
+def test_split_too_short_for_one_window_is_one_data_error(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    write_csv(str(data), synthetic_sine(120, 2, seed=5))
+    cfg = _config(tmp_path, str(data), "short", lookback=96, split_ratios="0.7,0.1,0.2")
+    err = _assert_one_error_line(main(["pretrain", "--config", cfg]), capsys, "data")
+    assert "split 'train' has 84 rows" in err
+    assert not list((tmp_path / "short").glob("ckpt_*.decop"))
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])

@@ -173,10 +173,10 @@ def test_zero_horizon_keeps_lookback_only():
     assert [s.label for s in samples] == [5, 6, 7, 8, 9]
 
 
-def test_short_split_warns_and_returns_empty():
+def test_short_split_is_a_size_error():
     ds = _toy_dataset(n_rows=10, channels=1)
-    with pytest.warns(UserWarning):
-        assert sample_windows(ds, 8, 4, "train") == []
+    with pytest.raises(SizeError, match=r"toy: split 'train' has 10 rows, .* = 12"):
+        sample_windows(ds, 8, 4, "train")
 
 
 def test_windows_never_cross_split_boundaries():

@@ -13,10 +13,12 @@ from decop.finetune import (
     compute_metrics,
     cross_entropy,
     evaluate,
+    finetune_epoch,
     forecast_forward,
     run_finetuning,
 )
 from decop.model import ModelDims, ModelState, encode_patches, normalize_windows
+from decop.optim import Adam
 from decop.rng import Rng
 from decop.tensor import Tensor
 
@@ -232,18 +234,35 @@ def test_length_mismatch_rejected():
 # training loop
 
 
+def _assert_unchanged(before: dict, model: ModelState):
+    after = model.snapshot()
+    assert set(after) == set(before)
+    for name in before:
+        assert np.array_equal(before[name], after[name]), name
+
+
 def test_zero_lr_leaves_parameters_and_metrics_fixed():
     model = _model()
     ds = _sine_dataset()
-    cfg = RunConfig(task="forecast", horizon=8, epochs=2, batch_size=16, lr=0.0, seed=11)
+    cfg = RunConfig(task="forecast", horizon=8, batch_size=16, seed=11)
     model.add_forecast_head(8, Rng(11))
     before = model.snapshot()
     initial = evaluate(model, ds, cfg, "test")
-    history, test_metrics = run_finetuning(model, ds, cfg)
-    after = model.snapshot()
-    for name in before:
-        assert np.array_equal(before[name], after[name]), name
-    assert test_metrics.mse == pytest.approx(initial.mse)
+    optimizer = Adam(model.finetune_parameters(), lr=0.0)
+    streams = {name: Rng(11).child(name) for name in ("shuffle", "dropout")}
+    for epoch in (1, 2):
+        finetune_epoch(model, ds, cfg, optimizer, epoch, streams)
+    _assert_unchanged(before, model)
+    assert evaluate(model, ds, cfg, "test").mse == initial.mse
+
+
+def test_invalid_config_is_rejected_before_any_parameter_moves():
+    model = _model()
+    before = model.snapshot()
+    cfg = RunConfig(task="forecast", horizon=8, epochs=1, batch_size=16, lr=0.0, seed=11)
+    with pytest.raises(ConfigError, match="lr must be positive"):
+        run_finetuning(model, _sine_dataset(), cfg)
+    _assert_unchanged(before, model)
 
 
 def test_finetune_decreases_validation_mse():

@@ -43,28 +43,29 @@ def test_scalar_oracle_agreement_small_length():
     assert np.allclose(got, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("length", [16, 100, 512])
+@pytest.mark.parametrize("length", [2, 3, 16, 100, 511, 512])
 def test_forward_matches_naive_oracle(length):
     x = Rng(31).normal((3, length))
     assert np.abs(icm.dft_forward(x).coeffs - naive_dft(x)).max() < 1e-8
 
 
-@pytest.mark.parametrize("length", [16, 100, 512])
+@pytest.mark.parametrize("length", [2, 3, 16, 100, 511, 512])
 def test_round_trip_recovers_signal(length):
     x = Rng(32).normal((2, length))
     spec = icm.dft_forward(x)
     assert np.abs(icm.dft_inverse(spec) - x).max() < 1e-8
 
 
-def test_inverse_matches_naive_synthesis_oracle():
-    x = Rng(33).normal((1, 20))
+@pytest.mark.parametrize("length", [20, 21])  # odd L has no Nyquist bin
+def test_inverse_matches_naive_synthesis_oracle(length):
+    x = Rng(33).normal((1, length))
     spec = icm.dft_forward(x)
-    mask = np.ones(10)
+    mask = np.ones(length // 2)
     mask[[3, 7]] = 0.0
     ours = icm.apply_and_invert(spec, mask[None, :])
     coeffs = spec.coeffs.copy()
-    coeffs[0, :10] *= mask
-    assert np.abs(ours - naive_idft(coeffs, 20)).max() < 1e-8
+    coeffs[0, : length // 2] *= mask
+    assert np.abs(ours - naive_idft(coeffs, length)).max() < 1e-8
 
 
 def test_linearity():

@@ -8,6 +8,7 @@ from decop import pretrain
 from decop import tensor as T
 from decop.config import RunConfig
 from decop.data import Dataset, patchify_batch, synthetic_sine
+from decop.errors import ConfigError
 from decop.model import ModelDims, ModelState
 from decop.optim import Adam
 from decop.pretrain import (
@@ -171,6 +172,17 @@ def test_constant_dataset_with_zero_weight_fits_instantly():
     history, _ = run_pretraining(model, ds, cfg)
     assert history[-1].recon < 1e-3
     assert history[-1].recon < 0.05 * history[0].recon
+
+
+def test_invalid_config_is_rejected_before_any_parameter_moves():
+    model = _tiny_model(lookback=24, patch=4, d=8, windows=(2, 3))
+    before = model.snapshot()
+    cfg = RunConfig(epochs=1, batch_size=16, lr=3e-3, mask_ratio=1.0, seed=5)
+    with pytest.raises(ConfigError, match="mask_ratio"):
+        run_pretraining(model, _toy_dataset(), cfg)
+    after = model.snapshot()
+    for name in before:
+        assert np.array_equal(before[name], after[name]), name
 
 
 def test_identical_seeds_identical_trajectories():
