@@ -27,6 +27,7 @@ from .data import (
     Dataset,
     DatasetSpec,
     load_csv,
+    require_window,
     sample_windows,
     split_columns,
     synthetic_sine,
@@ -41,15 +42,23 @@ from .pretrain import run_pretraining
 from .rng import Rng
 
 
-def _load_dataset(cfg: RunConfig) -> Dataset:
+def _load_dataset(cfg: RunConfig, splits: tuple[str, ...] = ()) -> Dataset:
+    """Load the run's CSV; each of ``splits`` must hold at least one window.
+
+    Checking the splits here lets a command fail on its data before it
+    writes anything under ``out_dir``.
+    """
     if not cfg.dataset:
         raise ConfigError("field 'dataset' is required for this command")
     if not os.path.exists(cfg.dataset):
         raise ConfigError(f"dataset file not found: {cfg.dataset}")
-    min_rows = cfg.lookback + (cfg.horizon if cfg.task == "forecast" else 0)
+    horizon = cfg.horizon if cfg.task == "forecast" else 0
     classes = cfg.classes if cfg.task == "classify" else 0
-    spec = DatasetSpec(cfg.dataset_name, cfg.dataset, min_rows, cfg.split_ratios, classes)
-    return load_csv(cfg.dataset, spec)
+    spec = DatasetSpec(cfg.dataset_name, cfg.dataset, cfg.lookback + horizon, cfg.split_ratios, classes)
+    dataset = load_csv(cfg.dataset, spec)
+    for split in splits:
+        require_window(dataset, cfg.lookback, horizon, split)
+    return dataset
 
 
 def _build_model(cfg: RunConfig) -> ModelState:
@@ -70,7 +79,7 @@ def _fmt(v) -> str:
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg, ("train",))
     model = _build_model(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
@@ -100,7 +109,7 @@ def _report_text(metrics) -> str:
 
 
 def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
-    dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg, ("train", "val", "test"))
     model = _build_model(cfg)
     if ckpt_path is not None:
         checkpoint.load(ckpt_path, model)

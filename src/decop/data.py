@@ -290,6 +290,18 @@ def count_positions(ds: Dataset, lookback: int, horizon: int, split: str) -> int
     return max(0, (end - start) - (lookback + horizon) + 1)
 
 
+def require_window(ds: Dataset, lookback: int, horizon: int, split: str) -> int:
+    """Window positions in ``split``; a :class:`SizeError` if there is none."""
+    n_pos = count_positions(ds, lookback, horizon, split)
+    if n_pos == 0:
+        start, end = ds.split_range(split)
+        raise SizeError(
+            f"{ds.name}: split '{split}' has {end - start} rows, but one window needs "
+            f"lookback + horizon = {lookback + horizon}"
+        )
+    return n_pos
+
+
 def sample_windows(
     ds: Dataset,
     lookback: int,
@@ -304,13 +316,8 @@ def sample_windows(
     attached (taken at the window's last row) when the dataset has them.
     A split too short for one window is a :class:`SizeError`.
     """
-    start, end = ds.split_range(split)
-    n_pos = count_positions(ds, lookback, horizon, split)
-    if n_pos == 0:
-        raise SizeError(
-            f"{ds.name}: split '{split}' has {end - start} rows, but one window needs "
-            f"lookback + horizon = {lookback + horizon}"
-        )
+    start, _ = ds.split_range(split)
+    n_pos = require_window(ds, lookback, horizon, split)
     samples = []
     for p in range(n_pos):
         lo = start + p

@@ -69,24 +69,6 @@ def block_param_count(cfg, window: int) -> int:
     return width * hidden + hidden + hidden * width + width
 
 
-def window_partition(z: Tensor, window: int) -> tuple[Tensor, int]:
-    """Group patches into windows: (B, N, D) -> (B * ceil(N/W), W * D).
-
-    The patch axis is zero-padded up to a multiple of the window size;
-    returns the padded group count per batch row for the inverse.
-    """
-    b, n, d = z.shape
-    groups = -(-n // window)
-    padded = T.pad_axis(z, axis=1, count=groups * window - n)
-    return T.reshape(padded, (b * groups, window * d)), groups
-
-
-def window_merge(z: Tensor, batch: int, groups: int, window: int, n: int, dim: int) -> Tensor:
-    """Inverse of :func:`window_partition`, truncating the padding."""
-    full = T.reshape(z, (batch, groups * window, dim))
-    return T.narrow(full, 1, 0, n)
-
-
 def apply_learner(flat: Tensor, block: DclBlock, cfg: DclConfig) -> Tensor:
     if cfg.learner == "linear":
         return T.affine(flat, block.params["w"], block.params["b"])
@@ -99,10 +81,9 @@ def block_forward(
 ) -> tuple[Tensor, Tensor]:
     """One encoder block; returns (residual output, pre-residual output)."""
     b, n, d = z.shape
-    flat, groups = window_partition(z, block.window)
-    mixed = window_merge(apply_learner(flat, block, cfg), b, groups, block.window, n, d)
-    out = T.add(mixed, T.dropout(z, cfg.dropout, rng, train))
-    return out, mixed
+    flat = T.window_partition(z, block.window)
+    mixed = T.window_merge(apply_learner(flat, block, cfg), b, n, d)
+    return T.dropout_add(mixed, z, cfg.dropout, rng, train), mixed
 
 
 def encoder_forward(

@@ -129,23 +129,22 @@ class ContrastiveDiagnostics:
         self.zero_norm_pairs = 0
 
 
-def contrastive_loss(
-    z_anchor: Tensor, z_pair: Tensor, diagnostics: ContrastiveDiagnostics | None = None
-) -> Tensor:
+def contrastive_loss(pre: Tensor, diagnostics: ContrastiveDiagnostics | None = None) -> Tensor:
     """Alignment loss 1 - mean cosine between patch-averaged encodings.
 
-    Inputs are (B, N, D) encodings of the two views under the same
-    parameters; gradients flow through both. The value lies in [0, 2].
+    ``pre`` stacks the (B, N, D) encodings of both views under the same
+    parameters, anchors in rows [0, B) and their pairs in rows [B, 2B);
+    gradients flow through both halves. The stack is pooled and
+    normalized once, then split. The value lies in [0, 2].
     """
-    if z_anchor.shape != z_pair.shape:
-        raise ContractError(f"contrastive pair shapes differ: {z_anchor.shape} vs {z_pair.shape}")
-
-    def pooled_unit(z: Tensor) -> Tensor:
-        pooled = T.mean_axis(z, axis=1)
-        norm = T.sqrt(T.sum_axis(T.mul(pooled, pooled), axis=1, keepdims=True))
-        if diagnostics is not None:
-            diagnostics.zero_norm_pairs += int((norm.data < ZERO_NORM).sum())
-        return T.div(pooled, T.clamp_min(norm, ZERO_NORM))
-
-    cosines = T.sum_axis(T.mul(pooled_unit(z_anchor), pooled_unit(z_pair)), axis=1)
+    rows = pre.shape[0]
+    if pre.data.ndim != 3 or rows % 2:
+        raise ContractError(f"contrastive loss needs a (2B, N, D) stack of pairs, got {pre.shape}")
+    pooled = T.mean_axis(pre, axis=1)
+    norm = T.sqrt(T.sum_axis(T.mul(pooled, pooled), axis=1, keepdims=True))
+    if diagnostics is not None:
+        diagnostics.zero_norm_pairs += int((norm.data < ZERO_NORM).sum())
+    unit = T.div(pooled, T.clamp_min(norm, ZERO_NORM))
+    half = rows // 2
+    cosines = T.sum_axis(T.mul(T.take_rows(unit, 0, half), T.take_rows(unit, half, rows)), axis=1)
     return T.sub(Tensor(1.0), T.mean_all(cosines))

@@ -145,7 +145,6 @@ def encode_patches(
     d = model.dims.model_dim
     flat = T.reshape(patches, (b * n, p))
     z = T.reshape(T.affine(flat, model.proj_w, model.proj_b), (b, n, d))
-    if mask is not None:
-        z = T.masked_fill_rows(z, mask, model.mask_token)
-    z = T.add(z, model.pos)
+    fill = None if mask is None else model.mask_token
+    z = T.add_positions(z, model.pos, mask, fill)
     return dcl.encoder_forward(z, model.blocks, model.cfg, train, rng)

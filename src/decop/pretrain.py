@@ -118,8 +118,7 @@ def pretrain_batch(
         masks = random_masks(windows.shape[0], dims.n_patches, cfg.mask_ratio, mask_stream)
 
     # both views share every parameter and the same masks, so they run as
-    # one doubled batch; per-view quantities are recovered by row splits
-    batch = windows.shape[0]
+    # one doubled batch; the alignment loss pairs row i with row B + i
     both = T.concat_rows(anchor_patches, pair_patches)
     both_masks = np.concatenate([masks, masks], axis=0)
     encoded, pre = encode_patches(model, both, train, dropout_stream, both_masks)
@@ -129,9 +128,7 @@ def pretrain_batch(
     # the average of the two per-view reconstruction losses
     recon = recon_loss(both, preds, both_masks)
     diagnostics = ContrastiveDiagnostics()
-    contrastive = icm.contrastive_loss(
-        T.narrow(pre, 0, 0, batch), T.narrow(pre, 0, batch, batch), diagnostics
-    )
+    contrastive = icm.contrastive_loss(pre, diagnostics)
     return BatchOutput(
         recon, contrastive, total_loss(recon, contrastive, cfg.contrastive_weight), diagnostics
     )

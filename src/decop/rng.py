@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
-MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 LANES = 16384
+# xorshift128+ shift amounts
+_SHL, _SHR_T, _SHR_S1 = np.uint64(23), np.uint64(18), np.uint64(5)
+_MANTISSA_SHIFT = np.uint64(11)
 
 
 def splitmix64_mix(x: int) -> int:
@@ -87,32 +89,40 @@ class Rng:
         """Derive an independent stream for a named purpose."""
         return Rng(splitmix64_mix(self.seed ^ fnv1a64(tag)))
 
-    def _rounds(self, n_rounds: int) -> np.ndarray:
-        out = np.empty((n_rounds, LANES), dtype=np.uint64)
-        s0, s1 = self._s0, self._s1
-        for r in range(n_rounds):
-            res = (s0 + s1) & MASK64
-            t = s0 ^ ((s0 << np.uint64(23)) & MASK64)
-            s0 = s1
-            s1 = t ^ s0 ^ (t >> np.uint64(18)) ^ (s0 >> np.uint64(5))
-            out[r] = res
-        self._s0, self._s1 = s0, s1
-        return out
-
     def words(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words."""
+        """Next ``n`` raw 64-bit words.
+
+        The lanes step in place: each round writes its words straight into
+        the output and the new lane state into the two state arrays, with
+        one scratch array for the whole call.
+        """
         if n <= 0:
             return np.empty(0, dtype=np.uint64)
-        n_rounds = -(-n // LANES)
-        return self._rounds(n_rounds).reshape(-1)[:n]
+        out = np.empty((-(-n // LANES), LANES), dtype=np.uint64)
+        s0, s1 = self._s0, self._s1
+        t = np.empty(LANES, dtype=np.uint64)
+        for row in out:
+            np.add(s0, s1, out=row)
+            # t = s0 ^ (s0 << 23); s1' = t ^ s1 ^ (t >> 18) ^ (s1 >> 5) is
+            # built in s0's array, then the arrays swap roles (s0' = s1)
+            np.left_shift(s0, _SHL, out=t)
+            t ^= s0
+            np.right_shift(t, _SHR_T, out=s0)
+            s0 ^= t
+            s0 ^= s1
+            np.right_shift(s1, _SHR_S1, out=t)
+            s0 ^= t
+            s0, s1 = s1, s0
+        self._s0, self._s1 = s0, s1
+        return out.reshape(-1)[:n]
 
     def uniform(self, shape=None) -> np.ndarray | float:
         """Uniform float64 in [0, 1)."""
         if shape is None:
-            return float(self.words(1)[0] >> np.uint64(11)) * 2.0**-53
+            return float(self.words(1)[0] >> _MANTISSA_SHIFT) * 2.0**-53
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
-        u = (self.words(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = (self.words(n) >> _MANTISSA_SHIFT).astype(np.float64) * 2.0**-53
         return u.reshape(shape)
 
     def uniform_range(self, low: float, high: float, shape) -> np.ndarray:
@@ -124,8 +134,8 @@ class Rng:
         n = int(np.prod(shape)) if shape else 1
         pairs = -(-n // 2)
         w = self.words(2 * pairs)
-        u1 = ((w[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (w[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u1 = ((w[0::2] >> _MANTISSA_SHIFT).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = (w[1::2] >> _MANTISSA_SHIFT).astype(np.float64) * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.empty(2 * pairs, dtype=np.float64)
@@ -161,5 +171,6 @@ class Rng:
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
         threshold = np.uint64(min(int(np.ceil(p * 2.0**53)), 1 << 53))
-        w = self.words(n) >> np.uint64(11)
+        w = self.words(n)
+        w >>= _MANTISSA_SHIFT
         return (w < threshold).reshape(shape)

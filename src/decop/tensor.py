@@ -15,6 +15,7 @@ documented uses (scalar against array, row-vector over a matrix,
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -23,6 +24,33 @@ from .errors import ContractError, DimensionError
 from .rng import Rng
 
 _active_tape: "Tape | None" = None
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed arrays in the process heap for the next step to reuse.
+
+    glibc serves large blocks with their own ``mmap`` and unmaps them on
+    free, and trims free memory off the top of the heap. A training step
+    frees and reallocates the same multi-megabyte temporaries every time,
+    so each one would come back as freshly zeroed pages, faulted in one
+    at a time. Blocks up to 32 MiB (glibc's largest mmap threshold) now
+    come from the heap, and the heap is trimmed only past 1 GiB of free
+    memory. Elsewhere (no ``mallopt``) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+_keep_freed_memory()
 
 
 class Tensor:
@@ -245,51 +273,17 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def _zero_pad(data: np.ndarray, axis: int, before: int, after: int) -> np.ndarray:
-    """np.pad replacement without its double-write overhead."""
-    shape = list(data.shape)
-    shape[axis] += before + after
-    out = np.empty(shape, dtype=data.dtype)
-    sl = [slice(None)] * data.ndim
-    if before:
-        sl[axis] = slice(0, before)
-        out[tuple(sl)] = 0.0
-    sl[axis] = slice(before, before + data.shape[axis])
-    out[tuple(sl)] = data
-    if after:
-        sl[axis] = slice(before + data.shape[axis], None)
-        out[tuple(sl)] = 0.0
-    return out
-
-
-def pad_axis(a: Tensor, axis: int, count: int) -> Tensor:
-    """Append ``count`` zeros along ``axis``."""
-    if count < 0:
-        raise ContractError(f"pad_axis: negative count {count}")
-    if count == 0:
-        return _record((a,), a.data.copy(), lambda g: (g,))
-    keep = a.shape[axis]
+def take_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` along axis 0, as a view of ``a``."""
+    if not 0 <= start <= stop <= a.shape[0]:
+        raise DimensionError("take_rows", a.shape, (start, stop))
 
     def backward(g):
-        sl = [slice(None)] * g.ndim
-        sl[axis] = slice(0, keep)
-        return (g[tuple(sl)],)
+        full = np.zeros(a.shape)
+        full[start:stop] = g
+        return (full,)
 
-    return _record((a,), _zero_pad(a.data, axis, 0, count), backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Keep ``length`` entries along ``axis`` starting at ``start``."""
-    if not (0 <= start and start + length <= a.shape[axis]):
-        raise DimensionError("narrow", a.shape, (start, length))
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    after = a.shape[axis] - start - length
-
-    def backward(g):
-        return (_zero_pad(g, axis, start, after),)
-
-    return _record((a,), a.data[tuple(sl)].copy(), backward)
+    return _record((a,), a.data[start:stop], backward)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -377,34 +371,88 @@ def squared_error(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# stochastic
+# encoder glue: each op writes its output in one pass, so a block allocates
+# no pad, slice or dropout copies beside the learner's own arrays
 
 
-def dropout(a: Tensor, p: float, rng: Rng | None, train: bool) -> Tensor:
-    """Bernoulli dropout scaled by 1/(1-p); identity when not training."""
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"dropout probability {p} outside [0, 1)")
-    if not train or p == 0.0:
-        return _record((a,), a.data.copy(), lambda g: (g,))
-    if rng is None:
-        raise ContractError("train-mode dropout needs an rng stream")
-    scale = 1.0 / (1.0 - p)
-    mask = np.where(rng.bernoulli(p, a.shape), 0.0, scale)
-    return _record((a,), a.data * mask, lambda g: (g * mask,))
+def add_positions(
+    z: Tensor, pos: Tensor, mask: np.ndarray | None = None, fill: Tensor | None = None
+) -> Tensor:
+    """``z + pos`` over (B, N, D) latents, after swapping masked rows for ``fill``.
 
-
-def masked_fill_rows(a: Tensor, mask: np.ndarray, fill: Tensor) -> Tensor:
-    """Replace whole rows of the middle axis with a learnable vector.
-
-    ``a`` is (B, N, D), ``mask`` is (B, N) with 1 selecting replaced
-    positions, ``fill`` is the (D,) replacement. The fill's gradient is
-    the gradient sum over all replaced positions.
+    ``pos`` is the (N, D) positional table. ``mask`` is (B, N) with 1
+    selecting the rows replaced by the (D,) vector ``fill``; the fill's
+    gradient is the gradient sum over all replaced rows.
     """
-    if a.data.ndim != 3 or mask.shape != a.shape[:2] or fill.shape != (a.shape[2],):
-        raise DimensionError("masked_fill_rows", a.shape, mask.shape, fill.shape)
+    if z.data.ndim != 3 or pos.shape != z.shape[1:]:
+        raise DimensionError("add_positions", z.shape, pos.shape)
+    if mask is None:
+        return _record((z, pos), z.data + pos.data, lambda g: (g, g.sum(axis=0)))
+    if mask.shape != z.shape[:2] or fill is None or fill.shape != (z.shape[2],):
+        raise DimensionError("add_positions", z.shape, mask.shape, None if fill is None else fill.shape)
     gate = mask.astype(bool)[:, :, None]
+    out = np.where(gate, fill.data, z.data)
+    out += pos.data
 
     def backward(g):
-        return (np.where(gate, 0.0, g), g[gate[:, :, 0]].sum(axis=0))
+        return (np.where(gate, 0.0, g), g.sum(axis=0), g[gate[:, :, 0]].sum(axis=0))
 
-    return _record((a, fill), np.where(gate, fill.data, a.data), backward)
+    return _record((z, pos, fill), out, backward)
+
+
+def window_partition(z: Tensor, window: int) -> Tensor:
+    """Group patches into windows: (B, N, D) -> (B * ceil(N/W), W * D).
+
+    The patches are copied once into the output, whose patch axis is
+    zero-padded up to a multiple of the window size.
+    """
+    if z.data.ndim != 3:
+        raise DimensionError("window_partition", z.shape, (window,))
+    b, n, d = z.shape
+    groups = -(-n // window)
+    out = np.empty((b * groups, window * d))
+    padded = out.reshape(b, groups * window, d)
+    padded[:, :n] = z.data
+    padded[:, n:] = 0.0
+    padded_shape = padded.shape
+    return _record((z,), out, lambda g: (g.reshape(padded_shape)[:, :n],))
+
+
+def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
+    """Inverse of :func:`window_partition`: the first ``n`` patches, as a view.
+
+    Backward writes the gradient into one buffer whose padded patches are
+    zero.
+    """
+    if z.size % (batch * dim) or z.size // (batch * dim) < n:
+        raise DimensionError("window_merge", z.shape, (batch, n, dim))
+    full = z.data.reshape(batch, -1, dim)
+    flat_shape = z.shape
+
+    def backward(g):
+        g_full = np.empty(full.shape)
+        g_full[:, :n] = g
+        g_full[:, n:] = 0.0
+        return (g_full.reshape(flat_shape),)
+
+    return _record((z,), full[:, :n], backward)
+
+
+def dropout_add(a: Tensor, b: Tensor, p: float, rng: Rng | None, train: bool) -> Tensor:
+    """``a + dropout(b)`` with Bernoulli dropout scaled by 1/(1-p).
+
+    Dropout is the identity when not training or at ``p == 0``; the sum
+    is then the only array written.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ContractError(f"dropout probability {p} outside [0, 1)")
+    if a.shape != b.shape:
+        raise DimensionError("dropout_add", a.shape, b.shape)
+    if not train or p == 0.0:
+        return _record((a, b), a.data + b.data, lambda g: (g, g))
+    if rng is None:
+        raise ContractError("train-mode dropout needs an rng stream")
+    mask = np.where(rng.bernoulli(p, b.shape), 0.0, 1.0 / (1.0 - p))
+    out = b.data * mask
+    out += a.data
+    return _record((a, b), out, lambda g: (g, g * mask))

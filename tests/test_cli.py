@@ -299,6 +299,17 @@ def test_split_too_short_for_one_window_is_one_data_error(tmp_path, capsys):
     assert not list((tmp_path / "short").glob("ckpt_*.decop"))
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_data_error_leaves_no_out_dir(tmp_path, capsys, command):
+    # the data are checked before out_dir and config_echo.txt are written
+    data = tmp_path / "short.csv"
+    write_csv(str(data), synthetic_sine(120, 2, seed=5))
+    cfg = _config(tmp_path, str(data), "short", lookback=96, split_ratios="0.7,0.1,0.2")
+    err = _assert_one_error_line(main([command, "--config", cfg]), capsys, "data")
+    assert "split 'train' has 84 rows" in err
+    assert not (tmp_path / "short").exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
 def test_non_finite_csv_cell_is_one_data_error(pretrained, capsys, cell):
     tmp_path, data, _ = pretrained

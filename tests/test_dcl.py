@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from decop import dcl
+from decop import tensor as T
 from decop.dcl import DclBlock, DclConfig
 from decop.model import ModelDims, ModelState, encode_patches
 from decop.rng import Rng
-from decop.tensor import Tensor
+from decop.tensor import Tape, Tensor
 
 
 def _cfg(**kw):
@@ -69,31 +70,28 @@ def test_projection_hand_product():
 
 def test_partition_pads_to_window_multiple():
     z = Tensor(Rng(2).normal((1, 5, 4)))
-    flat, groups = dcl.window_partition(z, 2)
-    assert groups == 3
+    flat = T.window_partition(z, 2)
     assert flat.shape == (3, 8)
     assert np.array_equal(flat.data[2, 4:], np.zeros(4))  # padded patch
 
 
 def test_window_one_keeps_layout():
     z = Tensor(Rng(3).normal((2, 5, 4)))
-    flat, groups = dcl.window_partition(z, 1)
-    assert groups == 5
+    flat = T.window_partition(z, 1)
+    assert flat.shape == (10, 4)
     assert np.array_equal(flat.data.reshape(2, 5, 4), z.data)
 
 
 def test_window_covering_everything_is_single_group():
     z = Tensor(Rng(4).normal((2, 5, 4)))
-    flat, groups = dcl.window_partition(z, 7)
-    assert groups == 1
+    flat = T.window_partition(z, 7)
     assert flat.shape == (2, 28)
 
 
 def test_merge_inverts_partition():
     z = Tensor(Rng(5).normal((3, 7, 4)))
     for window in (1, 2, 3, 7, 10):
-        flat, groups = dcl.window_partition(z, window)
-        back = dcl.window_merge(flat, 3, groups, window, 7, 4)
+        back = T.window_merge(T.window_partition(z, window), 3, 7, 4)
         assert np.array_equal(back.data, z.data)
 
 
@@ -182,6 +180,69 @@ def test_two_block_composition_reaches_more_than_either_alone():
     assert (rc | r2 | r5).sum() == rc.sum()
     # patch 0 reaches outside its width-2 window via the width-5 stage
     assert rc[0, 3] and not r2[0, 3]
+
+
+def _gelu_reference(h):
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (h + 0.044715 * h**3))
+    slope = 0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * h * h)
+    return 0.5 * h * (1.0 + t), slope
+
+
+def _block_reference(z, params, learner, window, drop_mask, g_out):
+    """The unfused block in plain numpy: pad, reshape, learner, slice, residual.
+
+    Returns the output and the gradients of sum(out * g_out) with respect
+    to the input and every learner parameter.
+    """
+    b, n, d = z.shape
+    groups = -(-n // window)
+    padded = np.concatenate([z, np.zeros((b, groups * window - n, d))], axis=1)
+    flat = padded.reshape(b * groups, window * d)
+    if learner == "linear":
+        y = flat @ params["w"] + params["b"]
+    else:
+        hidden, slope = _gelu_reference(flat @ params["w1"] + params["b1"])
+        y = hidden @ params["w2"] + params["b2"]
+    mixed = y.reshape(b, groups * window, d)[:, :n]
+    out = mixed + z * drop_mask
+
+    g_y = np.concatenate([g_out, np.zeros((b, groups * window - n, d))], axis=1)
+    g_y = g_y.reshape(y.shape)
+    grads = {}
+    if learner == "linear":
+        grads["w"], grads["b"] = flat.T @ g_y, g_y.sum(axis=0)
+        g_flat = g_y @ params["w"].T
+    else:
+        grads["w2"], grads["b2"] = hidden.T @ g_y, g_y.sum(axis=0)
+        g_h = (g_y @ params["w2"].T) * slope
+        grads["w1"], grads["b1"] = flat.T @ g_h, g_h.sum(axis=0)
+        g_flat = g_h @ params["w1"].T
+    grads["z"] = g_out * drop_mask + g_flat.reshape(padded.shape)[:, :n]
+    return out, grads
+
+
+@pytest.mark.parametrize("learner", ["linear", "mlp"])
+@pytest.mark.parametrize("n", [6, 7])
+def test_block_matches_unfused_reference_bit_for_bit(learner, n):
+    # window 3: N = 6 fills two windows exactly, N = 7 pads two patches
+    p = 0.3
+    cfg = _cfg(model_dim=4, windows=(3,), learner=learner, dropout=p)
+    block = dcl.init_block(cfg, 3, Rng(21))
+    z = Tensor(Rng(22).normal((5, n, 4)), requires_grad=True)
+    g_out = Rng(23).normal((5, n, 4))
+    with Tape() as tape:
+        out, _ = dcl.block_forward(z, block, cfg, train=True, rng=Rng(24))
+        loss = T.sum_all(T.mul(out, Tensor(g_out)))
+    tape.backward(loss)
+
+    drop_mask = np.where(Rng(24).bernoulli(p, z.shape), 0.0, 1.0 / (1.0 - p))
+    params = {name: t.data for name, t in block.params.items()}
+    want, want_grads = _block_reference(z.data, params, learner, 3, drop_mask, g_out)
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(z.grad, want_grads.pop("z"))
+    for name, grad in want_grads.items():
+        assert np.array_equal(block.params[name].grad, grad), name
 
 
 def test_encoder_single_zero_block_is_identity():

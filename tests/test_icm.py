@@ -186,22 +186,27 @@ def test_length_mismatch_between_config_and_spectrum():
 # alignment loss
 
 
+def _loss(anchor, pair, diagnostics=None):
+    """The alignment loss of two (B, N, D) encodings, stacked as the encoder runs them."""
+    return icm.contrastive_loss(T.concat_rows(anchor, pair), diagnostics)
+
+
 def test_identical_pair_has_zero_loss():
     z = Tensor(Rng(40).normal((3, 5, 8)))
-    assert abs(float(icm.contrastive_loss(z, z).data)) < 1e-12
+    assert abs(float(_loss(z, z).data)) < 1e-12
 
 
 def test_antipodal_pair_has_loss_two():
     z = Tensor(Rng(41).normal((3, 5, 8)))
     flipped = Tensor(-z.data)
-    assert abs(float(icm.contrastive_loss(z, flipped).data) - 2.0) < 1e-12
+    assert abs(float(_loss(z, flipped).data) - 2.0) < 1e-12
 
 
 def test_hand_cosine_value():
     # averaged vectors proportional to [1, 0] and [1, 1]: loss = 1 - 1/sqrt(2)
     a = Tensor(np.array([[[2.0, 0.0], [4.0, 0.0]]]))
     b = Tensor(np.array([[[3.0, 3.0], [1.0, 1.0]]]))
-    loss = float(icm.contrastive_loss(a, b).data)
+    loss = float(_loss(a, b).data)
     assert np.isclose(loss, 1.0 - 1.0 / np.sqrt(2.0), atol=1e-12)
 
 
@@ -209,8 +214,8 @@ def test_invariant_to_positive_rescaling():
     rng = Rng(42)
     a = Tensor(rng.normal((4, 6, 8)))
     b = Tensor(rng.normal((4, 6, 8)))
-    base = float(icm.contrastive_loss(a, b).data)
-    scaled = float(icm.contrastive_loss(Tensor(a.data * 7.5), Tensor(b.data * 0.02)).data)
+    base = float(_loss(a, b).data)
+    scaled = float(_loss(Tensor(a.data * 7.5), Tensor(b.data * 0.02)).data)
     assert np.isclose(base, scaled, atol=1e-10)
 
 
@@ -218,7 +223,7 @@ def test_loss_bounds():
     rng = Rng(43)
     for _ in range(10):
         a, b = Tensor(rng.normal((2, 3, 4))), Tensor(rng.normal((2, 3, 4)))
-        val = float(icm.contrastive_loss(a, b).data)
+        val = float(_loss(a, b).data)
         assert 0.0 <= val <= 2.0
 
 
@@ -226,7 +231,7 @@ def test_zero_norm_view_counts_as_orthogonal():
     a = Tensor(np.zeros((1, 2, 3)))
     b = Tensor(np.ones((1, 2, 3)))
     diag = ContrastiveDiagnostics()
-    loss = float(icm.contrastive_loss(a, b, diag).data)
+    loss = float(_loss(a, b, diag).data)
     assert np.isclose(loss, 1.0, atol=1e-9)
     assert diag.zero_norm_pairs == 1
 
@@ -236,12 +241,15 @@ def test_gradients_flow_through_both_views():
     a = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
     b = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
     with Tape() as tape:
-        loss = icm.contrastive_loss(a, b)
+        loss = _loss(a, b)
     tape.backward(loss)
     assert a.grad is not None and np.abs(a.grad).sum() > 0
     assert b.grad is not None and np.abs(b.grad).sum() > 0
 
 
 def test_shape_mismatch_rejected():
+    # an odd row count cannot split into anchors and pairs
     with pytest.raises(ContractError):
-        icm.contrastive_loss(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 2, 4))))
+        icm.contrastive_loss(Tensor(np.ones((3, 2, 4))))
+    with pytest.raises(ContractError):
+        icm.contrastive_loss(Tensor(np.ones((2, 4))))

@@ -1,5 +1,7 @@
 """Masking, reconstruction loss gating, loss combination, and the epoch loop."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,27 @@ def test_mask_token_substitution_happens_after_projection():
     out, _ = encode_patches(model, patches, train=False, rng=None, mask=mask)
     expected_masked = model.mask_token.data + model.pos.data[2]
     assert np.allclose(out.data[0, 2], expected_masked)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_warm_training_step_reuses_freed_memory():
+    # decop.tensor keeps freed arrays in the heap, so once the first steps
+    # have sized it, a step faults in (almost) no fresh pages
+    import resource
+
+    from decop.optim import train_step
+
+    cfg = RunConfig(lookback=512, patch_size=12, stride=12, model_dim=64, windows=(2, 5), batch_size=64)
+    model = ModelState(cfg.dims(), cfg.dropout, cfg.blend_init, Rng(3))
+    optimizer = Adam(model.pretrain_parameters(), lr=cfg.lr)
+    windows = synthetic_sine(64 + 512, 1, seed=4)[:, 0]
+    x = np.stack([windows[i : i + 512] for i in range(64)])
+    streams = {name: Rng(5).child(name) for name in ("mask", "dropout")}
+    faults = []
+    for step in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with Tape() as tape:
+            out = pretrain_batch(model, x, cfg, streams["mask"], streams["dropout"])
+        train_step(tape, out.total, optimizer, 1, step)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[-1] < 100, faults

@@ -109,3 +109,39 @@ def test_bernoulli_rate():
 def test_splitmix_mix_is_bijective_sample():
     seen = {splitmix64_mix(i) for i in range(1000)}
     assert len(seen) == 1000
+
+
+def _reference_lanes(seed):
+    seeds = np.array(scalar_splitmix64(seed, 2 * LANES), dtype=np.uint64)
+    return seeds[0::2].copy(), seeds[1::2].copy()
+
+
+def _reference_round(s0, s1):
+    """One xorshift128+ round of every lane, as the module docstring states it."""
+    result = s0 + s1
+    t = s0 ^ (s0 << np.uint64(23))
+    return result, s1, t ^ s1 ^ (t >> np.uint64(18)) ^ (s1 >> np.uint64(5))
+
+
+def _reference_words(lanes, n):
+    rounds = []
+    s0, s1 = lanes
+    while len(rounds) * LANES < n:
+        result, s0, s1 = _reference_round(s0, s1)
+        rounds.append(result)
+    return np.concatenate(rounds)[:n], (s0, s1)
+
+
+def test_in_place_stream_matches_round_at_a_time_reference():
+    rng = Rng(2718)
+    lanes = _reference_lanes(2718)
+    for n in (1, LANES - 1, LANES + 1, 3 * LANES + 5):
+        want, lanes = _reference_words(lanes, n)
+        assert np.array_equal(rng.words(n), want), n
+    for p in (0.0, 0.1, 1.0):
+        shape = (3, LANES // 2 + 7)
+        w, lanes = _reference_words(lanes, shape[0] * shape[1])
+        want = ((w >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p).reshape(shape)
+        assert np.array_equal(rng.bernoulli(p, shape), want), p
+    assert np.array_equal(rng._s0, lanes[0])
+    assert np.array_equal(rng._s1, lanes[1])

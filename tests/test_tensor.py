@@ -34,21 +34,24 @@ def test_mean_axis_rows():
 
 
 def test_dropout_p_zero_is_exact_identity():
+    a = Tensor(np.linspace(1, 3, 12).reshape(3, 4))
     x = Tensor(np.linspace(-2, 2, 12).reshape(3, 4))
-    out = T.dropout(x, 0.0, Rng(1), train=True)
-    assert np.array_equal(out.data, x.data)
+    out = T.dropout_add(a, x, 0.0, Rng(1), train=True)
+    assert np.array_equal(out.data, a.data + x.data)
 
 
 def test_dropout_eval_mode_is_identity():
+    a = Tensor(np.full((4, 4), 0.5))
     x = Tensor(np.ones((4, 4)))
-    assert np.array_equal(T.dropout(x, 0.5, None, train=False).data, x.data)
+    out = T.dropout_add(a, x, 0.5, None, train=False)
+    assert np.array_equal(out.data, a.data + x.data)
 
 
 def test_dropout_mask_expectation():
     # mean of dropout(1, p) over many draws stays within 3 standard errors of 1
     p = 0.3
     n = 40_000
-    out = T.dropout(Tensor(np.ones(n)), p, Rng(8), train=True)
+    out = T.dropout_add(Tensor(np.zeros(n)), Tensor(np.ones(n)), p, Rng(8), train=True)
     scale = 1.0 / (1.0 - p)
     se = np.sqrt(p * (1 - p) / n) * scale
     assert abs(out.data.mean() - 1.0) < 3 * se
@@ -196,7 +199,7 @@ def test_primitive_gradients(name, op, shapes):
         ("gelu", lambda x: T.gelu(x)),
         ("clamp_min", lambda x: T.clamp_min(x, 0.5)),
         ("reshape", lambda x: T.reshape(x, (4, 3))),
-        ("pad_axis", lambda x: T.pad_axis(x, 1, 3)),
+        ("window_partition", lambda x: T.window_partition(T.reshape(x, (1, 3, 4)), 2)),
         ("sum_axis", lambda x: T.sum_axis(x, 1)),
         ("mean_axis", lambda x: T.mean_axis(x, 0)),
         ("mean_all", lambda x: T.mean_all(x)),
@@ -209,13 +212,14 @@ def test_unary_gradients(name, build_op):
 
 
 def test_dropout_gradient_with_pinned_mask():
+    a = Tensor(Rng(4).normal((6, 5)), requires_grad=True)
     x = Tensor(Rng(5).normal((6, 5)), requires_grad=True)
 
     def build():
-        out = T.dropout(x, 0.4, Rng(77), train=True)
+        out = T.dropout_add(a, x, 0.4, Rng(77), train=True)
         return T.sum_all(T.mul(out, out))
 
-    _fd_check("dropout", build, [x])
+    _fd_check("dropout_add", build, [a, x])
 
 
 def test_squared_error_gradient():
@@ -231,7 +235,7 @@ def test_determinism_identical_outputs_and_gradients():
         w = Tensor(rng.normal((4, 4)), requires_grad=True)
         with Tape() as tape:
             hidden = T.gelu(T.affine(x, w, Tensor(np.zeros(4))))
-            out = T.dropout(hidden, 0.3, rng.child("drop"), train=True)
+            out = T.dropout_add(hidden, hidden, 0.3, rng.child("drop"), train=True)
             loss = T.mean_all(T.mul(out, out))
         tape.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
@@ -266,30 +270,50 @@ def test_affine_gradient_and_shapes():
         T.affine(x, w, Tensor(np.zeros(5)))
 
 
-def test_masked_fill_rows_forward_and_gradient():
-    rng = Rng(fnv1a64("masked_fill"))
+def test_add_positions_forward_and_gradient():
+    rng = Rng(fnv1a64("add_positions"))
     z = Tensor(rng.normal((2, 4, 3)), requires_grad=True)
+    pos = Tensor(rng.normal((4, 3)), requires_grad=True)
     fill = Tensor(rng.normal(3), requires_grad=True)
     mask = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
-    out = T.masked_fill_rows(z, mask, fill)
-    assert np.array_equal(out.data[0, 0], fill.data)
-    assert np.array_equal(out.data[0, 1], z.data[0, 1])
+    out = T.add_positions(z, pos, mask, fill)
+    assert np.array_equal(out.data[0, 0], fill.data + pos.data[0])
+    assert np.array_equal(out.data[0, 1], z.data[0, 1] + pos.data[1])
+    assert np.array_equal(T.add_positions(z, pos).data, z.data + pos.data)
+
     def build():
-        out = T.masked_fill_rows(z, mask, fill)
+        out = T.add_positions(z, pos, mask, fill)
         return T.sum_all(T.mul(out, out))
 
-    _fd_check("masked_fill", build, [z, fill])
+    _fd_check("add_positions", build, [z, pos, fill])
+    with pytest.raises(DimensionError, match="add_positions"):
+        T.add_positions(z, pos, mask[:, :3], fill)
 
 
-def test_narrow_gradient_and_values():
-    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
-    out = T.narrow(x, 1, 1, 2)
-    assert np.array_equal(out.data, x.data[:, 1:3])
+def test_window_merge_gradient_and_values():
+    # batch 2, 5 patches of width 3 in windows of 2: 3 groups, one pad patch
+    x = Tensor(np.arange(36.0).reshape(6, 6), requires_grad=True)
+    out = T.window_merge(x, 2, 5, 3)
+    assert np.array_equal(out.data, x.data.reshape(2, 6, 3)[:, :5])
+
     def build():
-        out = T.narrow(x, 1, 1, 2)
+        out = T.window_merge(x, 2, 5, 3)
         return T.sum_all(T.mul(out, out))
 
-    _fd_check("narrow", build, [x])
+    _fd_check("window_merge", build, [x])
+    run_backward(build)
+    assert np.array_equal(x.grad.reshape(2, 6, 3)[:, 5], np.zeros((2, 3)))
+
+
+def test_take_rows_gradient_and_values():
+    x = Tensor(Rng(fnv1a64("take_rows")).normal((6, 3)), requires_grad=True)
+    assert np.array_equal(T.take_rows(x, 2, 5).data, x.data[2:5])
+
+    def build():
+        out = T.take_rows(x, 2, 5)
+        return T.sum_all(T.mul(out, out))
+
+    _fd_check("take_rows", build, [x])
 
 
 def test_concat_rows_gradient_and_values():
