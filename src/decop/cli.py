@@ -116,15 +116,11 @@ def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
     history, test_metrics = run_finetuning(model, dataset, cfg)
-    rows = []
-    for m in history:
-        row = [m.epoch, m.train_loss] + [m.val.as_dict()[k] for k in sorted(m.val.as_dict())]
-        rows.append(row)
     val_keys = sorted(history[0].val.as_dict()) if history else []
     _write_metrics_csv(
         os.path.join(cfg.out_dir, "finetune_metrics.csv"),
         ["epoch", "train_loss"] + [f"val_{k}" for k in val_keys],
-        rows,
+        [[m.epoch, m.train_loss] + [m.val.as_dict()[k] for k in val_keys] for m in history],
     )
     _write_metrics_csv(
         os.path.join(cfg.out_dir, "finetune_timing.csv"),

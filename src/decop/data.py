@@ -13,9 +13,10 @@ a numeric channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ParseError, SizeError
 from .rng import Rng
@@ -120,48 +121,34 @@ def n_patches_for(length: int, patch_size: int, stride: int) -> int:
 def patchify(x: np.ndarray, patch_size: int, stride: int) -> PatchSet:
     """Cut a window into N x P patches, replicating the last value to pad."""
     x = np.asarray(x, dtype=np.float64)
-    length = x.shape[0]
-    n = n_patches_for(length, patch_size, stride)
-    padded_len = (n - 1) * stride + patch_size
-    pad_count = padded_len - length
-    padded = np.concatenate([x, np.full(pad_count, x[-1])])
-    patches = np.empty((n, patch_size), dtype=np.float64)
-    for i in range(n):
-        patches[i] = padded[i * stride : i * stride + patch_size]
+    patches = patchify_batch(x[None, :], patch_size, stride)[0]
+    pad_count = (patches.shape[0] - 1) * stride + patch_size - x.shape[0]
     return PatchSet(patches, patch_size, stride, pad_count)
 
 
 def unpatchify(ps: PatchSet, length: int) -> np.ndarray:
-    """Invert :func:`patchify` back to the first ``length`` points.
-
-    Overlapping positions take the value from the earliest covering
-    patch, so patches produced by ``patchify`` invert exactly.
-    """
-    padded_len = (ps.n_patches - 1) * ps.stride + ps.patch_size
-    if length > padded_len:
-        raise ContractError(f"cannot recover {length} points from {padded_len} padded points")
-    out = np.empty(padded_len, dtype=np.float64)
-    for i in range(ps.n_patches - 1, -1, -1):
-        out[i * ps.stride : i * ps.stride + ps.patch_size] = ps.patches[i]
-    return out[:length]
+    """Invert :func:`patchify` back to the first ``length`` points."""
+    return unpatchify_batch(ps.patches[None], ps.stride, length)[0]
 
 
 def patchify_batch(xs: np.ndarray, patch_size: int, stride: int) -> np.ndarray:
     """Patch each row of a (B, L) batch into (B, N, P)."""
-    batch, length = xs.shape
+    length = xs.shape[1]
     n = n_patches_for(length, patch_size, stride)
     padded_len = (n - 1) * stride + patch_size
     padded = np.concatenate([xs, np.repeat(xs[:, -1:], padded_len - length, axis=1)], axis=1)
-    out = np.empty((batch, n, patch_size), dtype=np.float64)
-    for i in range(n):
-        out[:, i, :] = padded[:, i * stride : i * stride + patch_size]
-    return out
+    return np.ascontiguousarray(sliding_window_view(padded, patch_size, axis=1)[:, ::stride])
 
 
 def unpatchify_batch(patches: np.ndarray, stride: int, length: int) -> np.ndarray:
-    """Invert :func:`patchify_batch`, earliest patch winning overlaps."""
+    """Invert :func:`patchify_batch` back to the first ``length`` points.
+
+    The earliest covering patch wins overlaps, so patchify output inverts exactly.
+    """
     batch, n, patch_size = patches.shape
     padded_len = (n - 1) * stride + patch_size
+    if length > padded_len:
+        raise ContractError(f"cannot recover {length} points from {padded_len} padded points")
     out = np.empty((batch, padded_len), dtype=np.float64)
     for i in range(n - 1, -1, -1):
         out[:, i * stride : i * stride + patch_size] = patches[:, i, :]
@@ -302,13 +289,39 @@ def require_window(ds: Dataset, lookback: int, horizon: int, split: str) -> int:
     return n_pos
 
 
+@dataclass
+class Windows:
+    """One split's windows in sampling order, each built when it is read.
+
+    ``view``: the split's rows as (positions, channels, lookback + horizon)
+    windows, not copied. Item i is the window at flat index ``order[i]`` =
+    position * channels + channel. ``labels``: one per position, or None.
+    Iteration reads items until ``order`` raises IndexError.
+    """
+
+    view: np.ndarray
+    order: np.ndarray
+    lookback: int
+    labels: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, i: int) -> WindowSample:
+        position, channel = divmod(int(self.order[i]), self.view.shape[1])
+        window = self.view[position, channel]
+        y = window[self.lookback :] if window.shape[0] > self.lookback else None
+        label = None if self.labels is None else int(self.labels[position])
+        return WindowSample(channel, window[: self.lookback], y, label)
+
+
 def sample_windows(
     ds: Dataset,
     lookback: int,
     horizon: int,
     split: str,
     shuffle_rng: Rng | None = None,
-) -> list[WindowSample]:
+) -> Windows:
     """All channel-independent windows fully inside one split.
 
     Position-major, channel-minor order; pass a stream to shuffle for
@@ -316,36 +329,28 @@ def sample_windows(
     attached (taken at the window's last row) when the dataset has them.
     A split too short for one window is a :class:`SizeError`.
     """
-    start, _ = ds.split_range(split)
+    start, end = ds.split_range(split)
     n_pos = require_window(ds, lookback, horizon, split)
-    samples = []
-    for p in range(n_pos):
-        lo = start + p
-        for m in range(ds.n_channels):
-            x = ds.values[lo : lo + lookback, m]
-            y = ds.values[lo + lookback : lo + lookback + horizon, m] if horizon else None
-            label = int(ds.labels[lo + lookback - 1]) if ds.labels is not None and not horizon else None
-            samples.append(WindowSample(m, x, y, label))
-    if shuffle_rng is not None:
-        order = shuffle_rng.permutation(len(samples))
-        samples = [samples[i] for i in order]
-    return samples
+    view = sliding_window_view(ds.values[start:end], lookback + horizon, axis=0)
+    n = n_pos * ds.n_channels
+    order = shuffle_rng.permutation(n) if shuffle_rng is not None else np.arange(n)
+    first = start + lookback - 1
+    labels = ds.labels[first : first + n_pos] if ds.labels is not None and not horizon else None
+    return Windows(view, order, lookback, labels)
 
 
-def batches(samples: list[WindowSample], batch_size: int):
-    """Yield consecutive batches as stacked arrays.
+def batches(windows: Windows, batch_size: int):
+    """Yield consecutive batches, each gathered with one index into the view.
 
-    Each batch is (x: (B, L), y: (B, F) or None, labels: (B,) or None).
+    Each batch is (x: (B, L), y: (B, F) or None, labels: (B,) or None);
+    x and y are C-contiguous copies.
     """
-    for lo in range(0, len(samples), batch_size):
-        chunk = samples[lo : lo + batch_size]
-        x = np.stack([s.x for s in chunk])
-        y = np.stack([s.y for s in chunk]) if chunk[0].y is not None else None
-        labels = (
-            np.array([s.label for s in chunk], dtype=np.int64)
-            if chunk[0].label is not None
-            else None
-        )
+    view, lookback = windows.view, windows.lookback
+    for lo in range(0, len(windows), batch_size):
+        position, channel = np.divmod(windows.order[lo : lo + batch_size], view.shape[1])
+        x = view[position, channel, :lookback]
+        y = view[position, channel, lookback:] if view.shape[2] > lookback else None
+        labels = None if windows.labels is None else windows.labels[position]
         yield x, y, labels
 
 

@@ -29,9 +29,9 @@ from .data import Dataset, batches, sample_windows
 from .errors import ContractError
 from .ipn import denormalize
 from .model import ModelState, encode_patches, normalize_windows
-from .optim import Adam, train_step
+from .optim import Adam, train_epoch
 from .rng import Rng
-from .tensor import Tape, Tensor
+from .tensor import Tensor
 
 
 # former stage-config name, kept for callers that build it by keyword
@@ -132,9 +132,9 @@ def compute_metrics(preds: np.ndarray, targets: np.ndarray, task: str, classes: 
 def evaluate(model: ModelState, dataset: Dataset, cfg: RunConfig, split: str) -> Metrics:
     """Metrics over a whole split in eval mode (no dropout, no tape)."""
     horizon = cfg.horizon if cfg.task == "forecast" else 0
-    samples = sample_windows(dataset, model.dims.lookback, horizon, split)
+    windows = sample_windows(dataset, model.dims.lookback, horizon, split)
     preds, targets = [], []
-    for x, y, labels in batches(samples, cfg.batch_size):
+    for x, y, labels in batches(windows, cfg.batch_size):
         if cfg.task == "forecast":
             preds.append(forecast_forward(model, x, False, None).data)
             targets.append(y)
@@ -170,21 +170,16 @@ def finetune_epoch(
 ) -> FinetuneEpochMetrics:
     started = time.perf_counter()
     horizon = cfg.horizon if cfg.task == "forecast" else 0
-    samples = sample_windows(dataset, model.dims.lookback, horizon, "train", streams["shuffle"])
-    loss_sum = 0.0
-    n_batches = 0
-    for index, (x, y, labels) in enumerate(batches(samples, cfg.batch_size)):
-        with Tape() as tape:
-            if cfg.task == "forecast":
-                pred = forecast_forward(model, x, True, streams["dropout"])
-                loss = T.squared_error(pred, Tensor(y))
-            else:
-                scores = classify_forward(model, x, True, streams["dropout"])
-                loss = cross_entropy(scores, labels)
-        loss_sum += train_step(tape, loss, optimizer, epoch, index)
-        n_batches += 1
+    windows = sample_windows(dataset, model.dims.lookback, horizon, "train", streams["shuffle"])
+
+    def forward(x, y, labels):
+        if cfg.task == "forecast":
+            return (T.squared_error(forecast_forward(model, x, True, streams["dropout"]), Tensor(y)),)
+        return (cross_entropy(classify_forward(model, x, True, streams["dropout"]), labels),)
+
+    (train_loss,) = train_epoch(batches(windows, cfg.batch_size), forward, optimizer, epoch)
     val = evaluate(model, dataset, cfg, "val")
-    return FinetuneEpochMetrics(epoch, loss_sum / n_batches, val, time.perf_counter() - started)
+    return FinetuneEpochMetrics(epoch, train_loss, val, time.perf_counter() - started)
 
 
 def run_finetuning(

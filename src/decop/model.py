@@ -15,7 +15,7 @@ import numpy as np
 from . import dcl, ipn
 from . import tensor as T
 from .data import n_patches_for, patchify_batch
-from .dcl import DclBlock, DclConfig, _uniform_init
+from .dcl import DclConfig, _uniform_init
 from .rng import Rng
 from .tensor import Tensor
 
@@ -83,10 +83,7 @@ class ModelState:
         return params
 
     def all_parameters(self) -> dict[str, Tensor]:
-        params = self.pretrain_parameters()
-        for name, tensor in self.heads.items():
-            params[f"head.{name}"] = tensor
-        return params
+        return {**self.pretrain_parameters(), **self.finetune_parameters()}
 
     def finetune_parameters(self) -> dict[str, Tensor]:
         """Everything on the fine-tuning path: encoder plus task head."""

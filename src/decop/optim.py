@@ -1,4 +1,4 @@
-"""Adam optimizer over a named parameter registry, and the shared training step."""
+"""Adam optimizer over a named parameter registry, and the one training loop."""
 
 from __future__ import annotations
 
@@ -49,15 +49,21 @@ class Adam:
             p.grad = None
 
 
-def train_step(tape: Tape, loss: Tensor, optimizer: Adam, epoch: int, index: int) -> float:
-    """Backpropagate a finite loss and take one optimizer step.
+def train_epoch(batches, forward, optimizer: Adam, epoch: int) -> tuple[float, ...]:
+    """One optimizer step per batch of a non-empty epoch; returns the means.
 
-    Returns the loss value. A non-finite loss raises before any
-    parameter moves; ``epoch`` and ``index`` (the batch) name the step.
+    ``forward(*batch)`` runs on a fresh tape and returns the loss tensor,
+    then any other scalar tensors to average, in the order of the result.
+    A non-finite loss raises before any parameter moves, naming the batch.
     """
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite loss at epoch {epoch}, batch {index}")
-    tape.backward(loss)
-    optimizer.step()
-    return value
+    sums = 0.0
+    for index, batch in enumerate(batches):
+        with Tape() as tape:
+            loss, *others = forward(*batch)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise NumericError(f"non-finite loss at epoch {epoch}, batch {index}")
+        tape.backward(loss)
+        optimizer.step()
+        sums = sums + np.array([value] + [float(t.data) for t in others])
+    return tuple(float(v) for v in sums / (index + 1))

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import icm, ipn
+from . import icm
 from . import tensor as T
 from .config import RunConfig
 from .data import Dataset, batches, patchify_batch, sample_windows, unpatchify_batch
+from .errors import ContractError
 from .icm import ContrastiveDiagnostics, FilterConfig
 from .model import ModelState, encode_patches, normalize_windows
-from .optim import Adam, train_step
+from .optim import Adam, train_epoch
 from .rng import Rng
-from .tensor import Tape, Tensor
+from .tensor import Tensor
 
 
 # former stage-config name, kept for callers that build it by keyword
@@ -65,14 +66,11 @@ def reconstruction_head(z: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def recon_loss(target: Tensor, pred: Tensor, mask: np.ndarray) -> Tensor:
     """Mean squared error over masked patch elements only.
 
-    Zero (with a warning) when nothing is masked.
+    An empty mask is a :class:`ContractError`: the loss is undefined there.
     """
     masked_elements = mask.sum() * target.shape[2]
     if masked_elements == 0:
-        import warnings
-
-        warnings.warn("reconstruction loss over an empty mask is defined as 0")
-        return Tensor(0.0)
+        raise ContractError("reconstruction loss needs at least one masked patch")
     gate = Tensor(mask.reshape(*mask.shape, 1))
     diff = T.sub(target, pred)
     gated = T.mul(T.mul(diff, diff), gate)
@@ -144,16 +142,13 @@ def pretrain_epoch(
 ) -> EpochMetrics:
     """One full pass over the training split, per the framework loop."""
     started = time.perf_counter()
-    samples = sample_windows(dataset, model.dims.lookback, 0, "train", streams["shuffle"])
-    sums = np.zeros(3)
-    n_batches = 0
-    for index, (x, _, _) in enumerate(batches(samples, cfg.batch_size)):
-        with Tape() as tape:
-            out = pretrain_batch(model, x, cfg, streams["mask"], streams["dropout"])
-        total = train_step(tape, out.total, optimizer, epoch, index)
-        sums += (float(out.recon.data), float(out.contrastive.data), total)
-        n_batches += 1
-    recon, contrastive, total = sums / n_batches
+    windows = sample_windows(dataset, model.dims.lookback, 0, "train", streams["shuffle"])
+
+    def forward(x, _y, _labels):
+        out = pretrain_batch(model, x, cfg, streams["mask"], streams["dropout"])
+        return out.total, out.recon, out.contrastive
+
+    total, recon, contrastive = train_epoch(batches(windows, cfg.batch_size), forward, optimizer, epoch)
     return EpochMetrics(epoch, recon, contrastive, total, time.perf_counter() - started)
 
 

@@ -1,12 +1,12 @@
-"""Adam update contract: hand-checked step, sign property, errors; the train step."""
+"""Adam update contract: hand-checked step, sign property, errors; the training loop."""
 
 import numpy as np
 import pytest
 
 from decop import tensor as T
 from decop.errors import ContractError, NumericError
-from decop.optim import Adam, train_step
-from decop.tensor import Tape, Tensor
+from decop.optim import Adam, train_epoch
+from decop.tensor import Tensor
 
 
 def test_zero_gradient_leaves_parameter_unchanged():
@@ -65,17 +65,38 @@ def test_moment_shapes_match_parameters():
     assert opt.v["p"].shape == (3, 4)
 
 
-def test_train_step_rejects_non_finite_loss_before_stepping():
+def test_train_epoch_rejects_non_finite_loss_before_stepping():
     p = Tensor(np.ones(3), requires_grad=True)
     opt = Adam({"p": p}, lr=0.1)
-    with Tape() as tape:
-        loss = T.sum_all(T.mul(p, Tensor([1.0, np.nan, 1.0])))
-    with pytest.raises(NumericError, match="non-finite loss at epoch 3, batch 7"):
-        train_step(tape, loss, opt, 3, 7)
+
+    def nan_loss(weights):
+        return (T.sum_all(T.mul(p, Tensor(weights))),)
+
+    with pytest.raises(NumericError, match="non-finite loss at epoch 3, batch 1"):
+        train_epoch([([0.0, 0.0, 0.0],), ([1.0, np.nan, 1.0],)], nan_loss, opt, 3)
+    # the finite first batch stepped; the non-finite second did not
+    assert opt.t == 1 and p.grad is None
+    assert np.array_equal(p.data, np.ones(3))
+
+    opt = Adam({"p": p}, lr=0.1)
+    with pytest.raises(NumericError, match="non-finite loss at epoch 3, batch 0"):
+        train_epoch([([1.0, np.nan, 1.0],)], nan_loss, opt, 3)
     assert np.array_equal(p.data, np.ones(3)) and p.grad is None and opt.t == 0
 
-    with Tape() as tape:
-        loss = T.sum_all(T.mul(p, p))
-    assert train_step(tape, loss, opt, 1, 0) == 3.0
+    def square(_):
+        return (T.sum_all(T.mul(p, p)),)
+
+    assert train_epoch([(None,)], square, opt, 1) == (3.0,)
     assert opt.t == 1 and p.grad is None
     assert np.allclose(p.data, 0.9)
+
+
+def test_train_epoch_averages_the_loss_and_other_scalars():
+    p = Tensor(np.array(2.0), requires_grad=True)
+    opt = Adam({"p": p}, lr=0.0)
+
+    def forward(scale):
+        return T.mul(p, Tensor(scale)), Tensor(scale), Tensor(-scale)
+
+    assert train_epoch([(1.0,), (2.0,), (6.0,)], forward, opt, 1) == (6.0, 3.0, -3.0)
+    assert opt.t == 3

@@ -345,6 +345,16 @@ def test_bad_config_field_is_one_config_error(pretrained, capsys, overrides):
     assert code == 2
 
 
+def test_mask_ratio_that_masks_no_patch_is_one_config_error(workspace, capsys):
+    # lookback 48, patch = stride = 8: 7 patches, and int(0.1 * 7) == 0
+    tmp_path, data = workspace
+    cfg = _config(tmp_path, data, "nomask", mask_ratio="0.1")
+    code = main(["pretrain", "--config", cfg])
+    err = _assert_one_error_line(code, capsys, "config")
+    assert code == 2 and "mask_ratio" in err
+    assert not (tmp_path / "nomask").exists()
+
+
 def test_non_utf8_config_is_one_config_error(tmp_path, capsys):
     bad = tmp_path / "latin1.cfg"
     bad.write_bytes(b"dataset_name = caf\xe9\n")

@@ -64,10 +64,15 @@ def test_patchify_rejects_oversized_patch():
 
 
 def test_batch_patchify_matches_single():
+    # L=50, P=7, S=3: 16 patches over 52 padded points, the last value twice
     xs = Rng(3).normal((4, 50))
     got = patchify_batch(xs, 7, 3)
+    assert got.shape == (4, 16, 7) and got.flags["C_CONTIGUOUS"]
     for b in range(4):
-        assert np.array_equal(got[b], patchify(xs[b], 7, 3).patches)
+        padded = np.concatenate([xs[b], [xs[b, -1]] * 2])
+        for i in range(16):
+            assert np.array_equal(got[b, i], padded[3 * i : 3 * i + 7])
+        assert np.array_equal(patchify(xs[b], 7, 3).patches, got[b])
     assert np.array_equal(unpatchify_batch(got, 3, 50), xs)
 
 
@@ -206,6 +211,26 @@ def test_training_shuffle_is_seeded():
     assert key(a) != key(c)
 
 
+def _reference_batches(ds, lookback, horizon, order, batch_size):
+    """Train windows built one at a time from ``ds.values``, shuffled by ``order``, stacked."""
+    n_pos = ds.split_range("train")[1] - lookback - horizon + 1
+    windows = []
+    for p in range(n_pos):
+        for m in range(ds.n_channels):
+            x = ds.values[p : p + lookback, m]
+            y = ds.values[p + lookback : p + lookback + horizon, m]
+            label = ds.labels[p + lookback - 1] if ds.labels is not None and not horizon else None
+            windows.append((x, y, label))
+    assert len(order) == len(windows)
+    shuffled = [windows[i] for i in order]
+    for lo in range(0, len(shuffled), batch_size):
+        chunk = shuffled[lo : lo + batch_size]
+        x = np.stack([w[0] for w in chunk])
+        y = np.stack([w[1] for w in chunk]) if horizon else None
+        labels = np.array([w[2] for w in chunk], dtype=np.int64) if chunk[0][2] is not None else None
+        yield x, y, labels
+
+
 def test_batches_stack_shapes():
     ds = _toy_dataset(n_rows=20, channels=2)
     samples = sample_windows(ds, 5, 3, "train")
@@ -213,6 +238,28 @@ def test_batches_stack_shapes():
     assert got[0][0].shape == (7, 5)
     assert got[0][1].shape == (7, 3)
     assert sum(x.shape[0] for x, _, _ in got) == len(samples)
+
+    # shuffled batches against a window-by-window reference: a forecast
+    # case, and a labelled case without a horizon
+    lookback = 6
+    for horizon, labelled in ((3, False), (0, True)):
+        ds = _toy_dataset(n_rows=40, channels=3, boundaries=(31, 35, 40))
+        if labelled:
+            ds.labels = (np.arange(40) * 7) % 5
+        n = (31 - lookback - horizon + 1) * 3
+        got = list(batches(sample_windows(ds, lookback, horizon, "train", Rng(5)), 7))
+        want = list(_reference_batches(ds, lookback, horizon, Rng(5).permutation(n), 7))
+        assert len(got) == len(want) == -(-n // 7)
+        for (x, y, labels), (wx, wy, wlabels) in zip(got, want):
+            assert np.array_equal(x, wx) and x.flags["C_CONTIGUOUS"]
+            if horizon:
+                assert np.array_equal(y, wy) and y.flags["C_CONTIGUOUS"]
+            else:
+                assert y is None
+            if labelled:
+                assert labels.dtype == np.int64 and np.array_equal(labels, wlabels)
+            else:
+                assert labels is None and wlabels is None
 
 
 def test_count_positions_matches_enumeration():

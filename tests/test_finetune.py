@@ -265,6 +265,31 @@ def test_invalid_config_is_rejected_before_any_parameter_moves():
     _assert_unchanged(before, model)
 
 
+@pytest.mark.parametrize("task", ["forecast", "classify"])
+def test_nonfinite_loss_aborts_with_batch_diagnostic(task):
+    from decop.errors import NumericError
+
+    values, labels = synthetic_two_class(300, 2, seed=17, segment=40)
+    ds = Dataset("nan", values, (200, 250, 300), np.zeros(2), np.ones(2), labels)
+    model = _model()
+    if task == "forecast":
+        model.add_forecast_head(8, Rng(18))
+    else:
+        model.add_classify_head(2, Rng(18))
+    for p in model.heads.values():
+        p.data[...] = np.nan
+    before = model.snapshot()
+    cfg = RunConfig(task=task, horizon=8, classes=2, batch_size=16, seed=18)
+    streams = {name: Rng(18).child(name) for name in ("shuffle", "dropout")}
+    optimizer = Adam(model.finetune_parameters())
+    with pytest.raises(NumericError, match="non-finite loss at epoch 1, batch 0"):
+        finetune_epoch(model, ds, cfg, optimizer, 1, streams)
+    assert optimizer.t == 0
+    after = model.snapshot()
+    for name in before:
+        assert np.array_equal(before[name], after[name], equal_nan=True), name
+
+
 def test_finetune_decreases_validation_mse():
     model = _model(lookback=24, d=8)
     ds = _sine_dataset(rows=600, noise=0.02)

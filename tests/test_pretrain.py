@@ -10,7 +10,7 @@ from decop import pretrain
 from decop import tensor as T
 from decop.config import RunConfig
 from decop.data import Dataset, patchify_batch, synthetic_sine
-from decop.errors import ConfigError
+from decop.errors import ConfigError, ContractError
 from decop.model import ModelDims, ModelState
 from decop.optim import Adam
 from decop.pretrain import (
@@ -23,7 +23,7 @@ from decop.pretrain import (
     total_loss,
 )
 from decop.rng import Rng
-from decop.tensor import Tape, Tensor
+from decop.tensor import Tensor
 
 
 def _tiny_model(lookback=32, patch=4, d=6, windows=(2, 3), learner="linear", dropout=0.0):
@@ -105,10 +105,10 @@ def test_unmasked_patches_are_gated_out():
     assert float(recon_loss(target, Tensor(perturbed), mask).data) == base
 
 
-def test_empty_mask_warns_and_returns_zero():
+def test_empty_mask_is_a_contract_error():
     x = Tensor(np.ones((1, 2, 2)))
-    with pytest.warns(UserWarning):
-        assert float(recon_loss(x, Tensor(np.zeros((1, 2, 2))), np.zeros((1, 2))).data) == 0.0
+    with pytest.raises(ContractError, match="at least one masked patch"):
+        recon_loss(x, Tensor(np.zeros((1, 2, 2))), np.zeros((1, 2)))
 
 
 def test_total_loss_arithmetic():
@@ -233,7 +233,7 @@ def test_warm_training_step_reuses_freed_memory():
     # have sized it, a step faults in (almost) no fresh pages
     import resource
 
-    from decop.optim import train_step
+    from decop.optim import train_epoch
 
     cfg = RunConfig(lookback=512, patch_size=12, stride=12, model_dim=64, windows=(2, 5), batch_size=64)
     model = ModelState(cfg.dims(), cfg.dropout, cfg.blend_init, Rng(3))
@@ -241,11 +241,13 @@ def test_warm_training_step_reuses_freed_memory():
     windows = synthetic_sine(64 + 512, 1, seed=4)[:, 0]
     x = np.stack([windows[i : i + 512] for i in range(64)])
     streams = {name: Rng(5).child(name) for name in ("mask", "dropout")}
+
+    def forward(x):
+        return (pretrain_batch(model, x, cfg, streams["mask"], streams["dropout"]).total,)
+
     faults = []
-    for step in range(5):
+    for _ in range(5):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        with Tape() as tape:
-            out = pretrain_batch(model, x, cfg, streams["mask"], streams["dropout"])
-        train_step(tape, out.total, optimizer, 1, step)
+        train_epoch([(x,)], forward, optimizer, 1)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert faults[-1] < 100, faults
