@@ -184,7 +184,7 @@ def test_two_block_composition_reaches_more_than_either_alone():
 
 def _gelu_reference(h):
     c = np.sqrt(2.0 / np.pi)
-    t = np.tanh(c * (h + 0.044715 * h**3))
+    t = np.tanh(c * (h + 0.044715 * (h * h * h)))
     slope = 0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * h * h)
     return 0.5 * h * (1.0 + t), slope
 

@@ -211,6 +211,26 @@ def test_unary_gradients(name, build_op):
     _fd_check(name, lambda: T.sum_all(build_op(x)), [x])
 
 
+def test_gelu_gradient_on_negative_inputs():
+    # GELU's slope dips below zero left of x = -0.75 and is 0.5 at the origin
+    values = [-4.0, -3.0, -2.0, -1.5, -1.0, -0.75, -0.5, -0.1, -1e-3, 0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0]
+    x = Tensor(np.array(values).reshape(4, 4), requires_grad=True)
+    _fd_check("gelu", lambda: T.sum_all(T.gelu(x)), [x])
+
+
+def test_gelu_matches_pow_form_within_rounding():
+    x = np.concatenate([
+        Rng(41).normal(200_000) * 3.0,
+        np.linspace(-30.0, 30.0, 10_001),
+        [0.0, -0.0, 1e-300, -1e-300],
+    ])
+    c = np.sqrt(2.0 / np.pi)
+    out = T.gelu(Tensor(x)).data
+    assert np.array_equal(out, 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x)))))
+    pow_form = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    assert np.abs(out - pow_form).max() <= 1e-15
+
+
 def test_dropout_gradient_with_pinned_mask():
     a = Tensor(Rng(4).normal((6, 5)), requires_grad=True)
     x = Tensor(Rng(5).normal((6, 5)), requires_grad=True)
