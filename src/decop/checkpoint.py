@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .model import ModelDims, ModelState
 MAGIC = "DECOP-CKPT v2"
 V1_MAGIC = "DECOP-CKPT v1"
 
-_STRUCTURAL = ("lookback", "patch_size", "stride", "model_dim", "windows", "learner", "hidden_mult")
+_STRUCTURAL = tuple(f.name for f in fields(ModelDims))
 
 
 def _dims_items(dims: ModelDims) -> list[tuple[str, str]]:

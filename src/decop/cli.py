@@ -11,7 +11,9 @@ Commands::
 
 Exit code 0 on success. On failure, stderr carries one line of the form
 ``decop:error:<category>: <message>`` where category is one of config,
-data, shape, contract, checkpoint, numeric, io.
+data, shape, contract, checkpoint, numeric, io. ``pretrain`` and
+``finetune`` write ``out_dir`` only after their stage returns, so a failed
+run leaves none.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .data import (
     Dataset,
     DatasetSpec,
     load_csv,
-    require_window,
     sample_windows,
-    split_columns,
     synthetic_sine,
     synthetic_two_class,
     unpatchify_batch,
@@ -42,23 +42,15 @@ from .pretrain import run_pretraining
 from .rng import Rng
 
 
-def _load_dataset(cfg: RunConfig, splits: tuple[str, ...] = ()) -> Dataset:
-    """Load the run's CSV; each of ``splits`` must hold at least one window.
-
-    Checking the splits here lets a command fail on its data before it
-    writes anything under ``out_dir``.
-    """
+def _load_dataset(cfg: RunConfig) -> Dataset:
+    """Load the run's CSV; each stage checks the windows it reads."""
     if not cfg.dataset:
         raise ConfigError("field 'dataset' is required for this command")
     if not os.path.exists(cfg.dataset):
         raise ConfigError(f"dataset file not found: {cfg.dataset}")
-    horizon = cfg.horizon if cfg.task == "forecast" else 0
     classes = cfg.classes if cfg.task == "classify" else 0
-    spec = DatasetSpec(cfg.dataset_name, cfg.dataset, cfg.lookback + horizon, cfg.split_ratios, classes)
-    dataset = load_csv(cfg.dataset, spec)
-    for split in splits:
-        require_window(dataset, cfg.lookback, horizon, split)
-    return dataset
+    spec = DatasetSpec(cfg.dataset_name, cfg.dataset, ratios=cfg.split_ratios, classes=classes)
+    return load_csv(cfg.dataset, spec)
 
 
 def _build_model(cfg: RunConfig) -> ModelState:
@@ -79,11 +71,10 @@ def _fmt(v) -> str:
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    dataset = _load_dataset(cfg, ("train",))
+    dataset = _load_dataset(cfg)
     model = _build_model(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
     history, best = run_pretraining(model, dataset, cfg)
+    atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
     _write_metrics_csv(
         os.path.join(cfg.out_dir, "pretrain_metrics.csv"),
         ["epoch", "recon_loss", "contrastive_loss", "total_loss"],
@@ -95,10 +86,8 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         [[m.epoch, m.seconds] for m in history],
     )
     checkpoint.save(os.path.join(cfg.out_dir, "ckpt_final.decop"), model)
-    final = model.snapshot()
     model.restore(best)
     checkpoint.save(os.path.join(cfg.out_dir, "ckpt_best.decop"), model)
-    model.restore(final)
     print(f"pretrained {cfg.epochs} epochs; final loss {history[-1].total:.6f}")
     print(f"checkpoints written under {cfg.out_dir}")
     return 0
@@ -109,13 +98,12 @@ def _report_text(metrics) -> str:
 
 
 def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
-    dataset = _load_dataset(cfg, ("train", "val", "test"))
+    dataset = _load_dataset(cfg)
     model = _build_model(cfg)
     if ckpt_path is not None:
         checkpoint.load(ckpt_path, model)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
     history, test_metrics = run_finetuning(model, dataset, cfg)
+    atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
     val_keys = sorted(history[0].val.as_dict()) if history else []
     _write_metrics_csv(
         os.path.join(cfg.out_dir, "finetune_metrics.csv"),
@@ -138,7 +126,6 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
     model = _build_model(cfg)
     checkpoint.load(ckpt_path, model, require_heads=True)
     metrics = evaluate(model, dataset, cfg, "test")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.out_dir, "report.txt"), _report_text(metrics))
     print(_report_text(metrics), end="")
     return 0
@@ -146,10 +133,7 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
 
 def cmd_flops(cfg: RunConfig) -> int:
     dims = cfg.dims()
-    n_channels = 1
-    if cfg.dataset and os.path.exists(cfg.dataset):
-        with open(cfg.dataset, "r", encoding="utf-8", errors="replace") as fh:
-            n_channels = len(split_columns(fh.readline().rstrip("\n").split(","))[0])
+    n_channels = _load_dataset(cfg).n_channels if cfg.dataset else 1
     pre = flops.pretrain_report(dims, n_channels)
     fin = flops.finetune_report(dims, n_channels, cfg.task, cfg.horizon, cfg.classes)
     print(flops.format_report("pretrain", pre))
@@ -171,7 +155,6 @@ def cmd_filter_viz(cfg: RunConfig, channel: int, out_path: str | None) -> int:
 
     rows = [[t, anchor[0, t], denoised[0, t], noise[0, t]] for t in range(cfg.lookback)]
     path = out_path or os.path.join(cfg.out_dir, "filter_viz.csv")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     _write_metrics_csv(path, ["t", "anchor", "denoised", "noise"], rows)
     print(f"wrote {path}")
     return 0

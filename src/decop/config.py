@@ -43,15 +43,7 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def dims(self) -> ModelDims:
-        return ModelDims(
-            lookback=self.lookback,
-            patch_size=self.patch_size,
-            stride=self.stride,
-            model_dim=self.model_dim,
-            windows=self.windows,
-            learner=self.learner,
-            hidden_mult=self.hidden_mult,
-        )
+        return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
     def validate(self) -> "RunConfig":
         def positive(name):
@@ -79,9 +71,6 @@ class RunConfig:
             raise ConfigError(f"keep_fraction must be in (0, 1], got {self.keep_fraction}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
-        # pretraining reconstructs the masked patches, so it needs at least one
-        if int(self.mask_ratio * self.dims().n_patches) < 1:
-            raise ConfigError(f"mask_ratio {self.mask_ratio} masks no patch of {self.dims().n_patches}")
         if self.contrastive_weight < 0:
             raise ConfigError(f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
         if not 0.0 <= self.dropout < 1.0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .data import Dataset, batches, sample_windows
+from .data import Dataset, batches, require_window, sample_windows
 from .errors import ContractError
 from .ipn import denormalize
 from .model import ModelState, encode_patches, normalize_windows
@@ -129,10 +129,14 @@ def compute_metrics(preds: np.ndarray, targets: np.ndarray, task: str, classes: 
     )
 
 
+def target_horizon(cfg: RunConfig) -> int:
+    """Rows a window carries past its look-back: the horizon when forecasting."""
+    return cfg.horizon if cfg.task == "forecast" else 0
+
+
 def evaluate(model: ModelState, dataset: Dataset, cfg: RunConfig, split: str) -> Metrics:
     """Metrics over a whole split in eval mode (no dropout, no tape)."""
-    horizon = cfg.horizon if cfg.task == "forecast" else 0
-    windows = sample_windows(dataset, model.dims.lookback, horizon, split)
+    windows = sample_windows(dataset, model.dims.lookback, target_horizon(cfg), split)
     preds, targets = [], []
     for x, y, labels in batches(windows, cfg.batch_size):
         if cfg.task == "forecast":
@@ -169,8 +173,7 @@ def finetune_epoch(
     streams: dict[str, Rng],
 ) -> FinetuneEpochMetrics:
     started = time.perf_counter()
-    horizon = cfg.horizon if cfg.task == "forecast" else 0
-    windows = sample_windows(dataset, model.dims.lookback, horizon, "train", streams["shuffle"])
+    windows = sample_windows(dataset, model.dims.lookback, target_horizon(cfg), "train", streams["shuffle"])
 
     def forward(x, y, labels):
         if cfg.task == "forecast":
@@ -188,8 +191,12 @@ def run_finetuning(
     """Fine-tune with validation-based selection and patience.
 
     Restores the best-validation parameters, then reports test metrics.
+    A split too short for one window is a ``SizeError`` before a head is
+    added.
     """
     cfg.validate()
+    for split in ("train", "val", "test"):
+        require_window(dataset, model.dims.lookback, target_horizon(cfg), split)
     root = Rng(cfg.seed)
     streams = {name: root.child(name) for name in ("shuffle", "dropout")}
     if cfg.task == "forecast" and "forecast_w" not in model.heads:

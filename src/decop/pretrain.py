@@ -18,7 +18,7 @@ from . import icm
 from . import tensor as T
 from .config import RunConfig
 from .data import Dataset, batches, patchify_batch, sample_windows, unpatchify_batch
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .icm import ContrastiveDiagnostics, FilterConfig
 from .model import ModelState, encode_patches, normalize_windows
 from .optim import Adam, train_epoch
@@ -159,9 +159,14 @@ def run_pretraining(
 ) -> tuple[list[EpochMetrics], dict[str, np.ndarray]]:
     """Full pretraining; returns per-epoch metrics and the best snapshot.
 
-    Best means lowest epoch-mean training loss.
+    Best means lowest epoch-mean training loss. A train split too short
+    for one window is a ``SizeError`` from :func:`sample_windows`.
     """
     cfg.validate()
+    # pretraining reconstructs the masked patches, so it needs at least one
+    n_patches = model.dims.n_patches
+    if int(cfg.mask_ratio * n_patches) < 1:
+        raise ConfigError(f"mask_ratio {cfg.mask_ratio} masks no patch of {n_patches}")
     root = Rng(cfg.seed)
     streams = {name: root.child(name) for name in ("shuffle", "mask", "dropout")}
     optimizer = Adam(model.pretrain_parameters(), lr=cfg.lr)

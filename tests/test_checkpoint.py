@@ -161,8 +161,6 @@ def test_bad_value_is_named():
         "stride = 20\npatch_size = 12",
         "keep_fraction = 0.0",
         "mask_ratio = 1.0",
-        "mask_ratio = 0.0",
-        "mask_ratio = 0.02",
         "windows = 5,2",
         "split_ratios = 0.5,0.2,0.2",
         "horizon = 0",

@@ -157,6 +157,18 @@ def test_flops_prints_both_stages(workspace, capsys):
     assert "2 channels" in text
 
 
+def test_pretrain_windows_carry_no_horizon(tmp_path):
+    # a 150-row train split holds 96-row pretraining windows, though not
+    # the 192 rows of a fine-tuning window with horizon 96
+    data = tmp_path / "short.csv"
+    write_csv(str(data), synthetic_sine(300, 2, seed=5))
+    cfg = _config(
+        tmp_path, str(data), "pre96", lookback=96, horizon=96, split_ratios="0.5,0.2,0.3"
+    )
+    assert main(["pretrain", "--config", cfg]) == 0
+    assert (tmp_path / "pre96" / "ckpt_best.decop").exists()
+
+
 def test_synth_command_writes_loadable_csv(tmp_path):
     out = str(tmp_path / "synthetic.csv")
     assert main(["synth", "--out", out, "--rows", "200", "--channels", "2", "--seed", "3"]) == 0
@@ -353,6 +365,26 @@ def test_mask_ratio_that_masks_no_patch_is_one_config_error(workspace, capsys):
     err = _assert_one_error_line(code, capsys, "config")
     assert code == 2 and "mask_ratio" in err
     assert not (tmp_path / "nomask").exists()
+
+
+def test_mask_ratio_is_a_pretraining_rule_only(workspace, capsys):
+    # lookback 48, patch = stride = 8: ratio 0.1 masks none of 7 patches,
+    # which matters only to pretraining; fine-tuning never masks
+    tmp_path, data = workspace
+    cfg = _config(tmp_path, data, "ft-nomask", mask_ratio="0.1")
+    assert main(["finetune", "--config", cfg]) == 0
+    assert (tmp_path / "ft-nomask" / "report.txt").exists()
+    capsys.readouterr()
+    cfg = _config(tmp_path, data, "pre-nomask", mask_ratio="0.1")
+    code = main(["pretrain", "--config", cfg])
+    assert "mask_ratio" in _assert_one_error_line(code, capsys, "config")
+    assert not (tmp_path / "pre-nomask").exists()
+
+
+def test_flops_with_missing_dataset_is_one_config_error(tmp_path, capsys):
+    cfg = _config(tmp_path, str(tmp_path / "absent.csv"), "fl-absent")
+    code = main(["flops", "--config", cfg])
+    assert "absent.csv" in _assert_one_error_line(code, capsys, "config")
 
 
 def test_non_utf8_config_is_one_config_error(tmp_path, capsys):

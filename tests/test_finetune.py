@@ -7,7 +7,7 @@ from conftest import assert_grad_close, central_diff, grad_of
 from decop import tensor as T
 from decop.config import RunConfig
 from decop.data import Dataset, sample_windows, synthetic_sine, synthetic_two_class
-from decop.errors import ConfigError, ContractError
+from decop.errors import ConfigError, ContractError, SizeError
 from decop.finetune import (
     classify_forward,
     compute_metrics,
@@ -262,6 +262,17 @@ def test_invalid_config_is_rejected_before_any_parameter_moves():
     cfg = RunConfig(task="forecast", horizon=8, epochs=1, batch_size=16, lr=0.0, seed=11)
     with pytest.raises(ConfigError, match="lr must be positive"):
         run_finetuning(model, _sine_dataset(), cfg)
+    _assert_unchanged(before, model)
+
+
+def test_split_too_short_for_one_window_is_rejected_before_a_head_is_added():
+    # 400 rows cut at 0.6 and 0.9: the test split has 40 rows, one window needs 32 + 16
+    model = _model()
+    before = model.snapshot()
+    cfg = RunConfig(task="forecast", horizon=16, epochs=1, batch_size=16, seed=11)
+    with pytest.raises(SizeError, match="split 'test' has 40 rows"):
+        run_finetuning(model, _sine_dataset(boundaries=(0.6, 0.9)), cfg)
+    assert model.heads == {}
     _assert_unchanged(before, model)
 
 

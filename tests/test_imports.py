@@ -1,7 +1,7 @@
 """Every name a decop module imports is used in that module.
 
 No linter ships with the project, so this walks each module's syntax
-tree instead. ``__init__.py`` is skipped: its imports are re-exports.
+tree instead.
 """
 
 import ast
@@ -10,7 +10,7 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "decop"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -187,6 +187,19 @@ def test_invalid_config_is_rejected_before_any_parameter_moves():
         assert np.array_equal(before[name], after[name]), name
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.02])
+def test_mask_ratio_that_masks_no_patch_is_rejected_before_any_parameter_moves(ratio):
+    # lookback 24, patch = stride = 4: 7 patches, and int(0.02 * 7) == 0
+    model = _tiny_model(lookback=24, patch=4, d=8, windows=(2, 3))
+    before = model.snapshot()
+    cfg = RunConfig(epochs=1, batch_size=16, lr=3e-3, mask_ratio=ratio, seed=5)
+    with pytest.raises(ConfigError, match="masks no patch of 7"):
+        run_pretraining(model, _toy_dataset(), cfg)
+    after = model.snapshot()
+    for name in before:
+        assert np.array_equal(before[name], after[name]), name
+
+
 def test_identical_seeds_identical_trajectories():
     def run():
         model = _tiny_model(lookback=24, patch=4, d=6)
