@@ -3,9 +3,11 @@
 Operations record onto an explicit :class:`Tape` while one is active and
 any input requires gradients. ``Tape.backward(loss)`` replays the recorded
 entries in reverse, accumulating each leaf's gradient exactly once per
-use; intermediate gradients live only inside the replay and the tape is
-cleared afterwards. Evaluation without an active tape never records, so
-read-only forward passes are side-effect free.
+use; intermediate gradients live only inside the replay. An entry holds
+no tensor, only the arrays its backward rule reads, and the sweep drops
+each entry as it passes it, so an activation lives only while a forward
+caller or a backward rule still holds it. Evaluation without an active
+tape never records, so read-only forward passes are side-effect free.
 
 Broadcasting in elementwise ops follows numpy's trailing-axis rule; the
 backward pass sums gradient over broadcast axes. This covers the
@@ -16,6 +18,7 @@ documented uses (scalar against array, row-vector over a matrix,
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +27,9 @@ from .errors import ContractError, DimensionError
 from .rng import Rng
 
 _active_tape: "Tape | None" = None
+# node numbers are never reused, so a tensor recorded on an earlier tape
+# cannot stand for a node of the current one
+_node_numbers = itertools.count()
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -57,17 +63,17 @@ class Tensor:
     """A shaped float64 array, optionally carrying a gradient slot.
 
     ``requires_grad`` leaves (parameters) keep their ``grad`` across a
-    backward pass; tensors produced by operations are non-leaf and their
-    gradients are released once used.
+    backward pass. A tensor recorded as an operation's output carries the
+    tape's ``node`` number for it; its gradient is released once used.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.is_leaf = True
+        self.node: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,10 +96,16 @@ class Tape:
         with Tape() as tape:
             loss = ...
         tape.backward(loss)
+
+    Each entry is ``(refs, node, backward)``. ``refs`` names the inputs:
+    a recorded output by its node number, a leaf that needs a gradient by
+    reference, and a constant by ``None``. The tape holds no other tensor,
+    so an op's output is freed once the caller drops it, unless a backward
+    rule captured its data.
     """
 
     def __init__(self):
-        self.entries: list[tuple[tuple[Tensor, ...], Tensor, object]] = []
+        self.entries: list[tuple[tuple[Tensor | int | None, ...], int, object]] = []
 
     def __enter__(self):
         global _active_tape
@@ -108,14 +120,19 @@ class Tape:
         return False
 
     def record(self, inputs: tuple[Tensor, ...], output: Tensor, backward) -> None:
-        output.is_leaf = False
-        self.entries.append((inputs, output, backward))
+        output.node = next(_node_numbers)
+        refs = tuple(
+            t.node if t.node is not None else t if t.requires_grad else None for t in inputs
+        )
+        self.entries.append((refs, output.node, backward))
 
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
         Gradients accumulate into existing ``grad`` arrays; optimizers are
-        expected to clear them after each step. The tape is emptied.
+        expected to clear them after each step. Each entry is dropped as
+        the sweep passes it, so the arrays its backward rule captured are
+        freed before any earlier entry runs. The tape ends empty.
         """
         if loss.data.ndim != 0 and loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -123,22 +140,22 @@ class Tape:
             raise ContractError("backward on an empty tape")
         # stored gradient arrays are never mutated in place (accumulation
         # allocates), so backward rules may return views of their input
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for inputs, output, backward_fn in reversed(self.entries):
-            g_out = grads.pop(id(output), None)
+        grads: dict[int | None, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+        entries = self.entries
+        while entries:
+            refs, node, backward_fn = entries.pop()
+            g_out = grads.pop(node, None)
             if g_out is None:
                 continue
-            for tensor, g in zip(inputs, backward_fn(g_out)):
-                if g is None or not tensor.requires_grad:
+            for ref, g in zip(refs, backward_fn(g_out)):
+                if g is None or ref is None:
                     continue
-                if tensor.is_leaf:
-                    if tensor.grad is None:
-                        tensor.grad = np.zeros_like(tensor.data)
-                    tensor.grad += g
+                if isinstance(ref, Tensor):
+                    if ref.grad is None:
+                        ref.grad = np.zeros_like(ref.data)
+                    ref.grad += g
                 else:
-                    key = id(tensor)
-                    grads[key] = grads[key] + g if key in grads else g
-        self.entries.clear()
+                    grads[ref] = grads[ref] + g if ref in grads else g
 
 
 def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
@@ -170,45 +187,53 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
+#
+# Here and below, backward rules capture shapes and arrays, never tensors,
+# so that a rule keeps alive only the data it reads.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
-    return _record(
-        (a, b),
-        a.data + b.data,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _record((a, b), a.data + b.data, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
-    return _record(
-        (a, b),
-        a.data - b.data,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _record((a, b), a.data - b.data, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; an operand's data is kept only for the other's gradient."""
     _check_broadcast("mul", a, b)
-    return _record(
-        (a, b),
-        a.data * b.data,
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    x = a.data if b.requires_grad else None
+    y = b.data if a.requires_grad else None
+
+    def backward(g):
+        return (
+            None if y is None else _unbroadcast(g * y, sa),
+            None if x is None else _unbroadcast(g * x, sb),
+        )
+
+    return _record((a, b), a.data * b.data, backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise quotient; the numerator is kept only for the divisor's gradient."""
     _check_broadcast("div", a, b)
-    return _record(
-        (a, b),
-        a.data / b.data,
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
+    sa, sb = a.shape, b.shape
+    x = a.data if b.requires_grad else None
+    y = b.data
+
+    def backward(g):
+        return (
+            _unbroadcast(g / y, sa),
+            None if x is None else _unbroadcast(-g * x / (y * y), sb),
+        )
+
+    return _record((a, b), a.data / b.data, backward)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -222,7 +247,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _record((a,), np.log(a.data), lambda g: (g / a.data,))
+    x = a.data
+    return _record((a,), np.log(x), lambda g: (g / x,))
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -241,9 +267,22 @@ def gelu(a: Tensor) -> Tensor:
     t = np.tanh(inner)
 
     def backward(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        return (g * d,)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)),
+        # each product and sum in that order, in two buffers
+        buf = np.multiply(t, t)
+        np.subtract(1.0, buf, out=buf)
+        slope = np.multiply(0.5, x)
+        slope *= buf
+        slope *= _GELU_C
+        np.multiply(3 * 0.044715, x, out=buf)
+        buf *= x
+        buf += 1.0
+        slope *= buf
+        np.add(1.0, t, out=buf)
+        buf *= 0.5
+        slope += buf
+        slope *= g
+        return (slope,)
 
     return _record((a,), 0.5 * x * (1.0 + t), backward)
 
@@ -256,13 +295,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused x @ w + b for a 2D input and a row-vector bias."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError("affine", x.shape, w.shape, b.shape)
-    out = x.data @ w.data
+    xd, wd = x.data, w.data
+    out = xd @ wd
     out += b.data
-    return _record(
-        (x, w, b),
-        out,
-        lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)),
-    )
+    return _record((x, w, b), out, lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -277,9 +313,10 @@ def take_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Rows ``start:stop`` along axis 0, as a view of ``a``."""
     if not 0 <= start <= stop <= a.shape[0]:
         raise DimensionError("take_rows", a.shape, (start, stop))
+    shape = a.shape
 
     def backward(g):
-        full = np.zeros(a.shape)
+        full = np.zeros(shape)
         full[start:stop] = g
         return (full,)
 
@@ -303,34 +340,37 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _record((a,), np.asarray(a.data.sum()), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    shape = a.shape
+    return _record((a,), np.asarray(a.data.sum()), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+    shape = a.shape
+
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record((a,), a.data.sum(axis=axis, keepdims=keepdims), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.size
+    shape, n = a.shape, a.size
 
     def backward(g):
-        return (np.broadcast_to(g / n, a.shape).copy(),)
+        return (np.broadcast_to(g / n, shape).copy(),)
 
     return _record((a,), np.asarray(a.data.mean()), backward)
 
 
 def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.shape[axis]
+    shape, n = a.shape, a.shape[axis]
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, a.shape).copy(),)
+        return (np.broadcast_to(g / n, shape).copy(),)
 
     return _record((a,), a.data.mean(axis=axis, keepdims=keepdims), backward)
 
@@ -427,10 +467,10 @@ def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
     if z.size % (batch * dim) or z.size // (batch * dim) < n:
         raise DimensionError("window_merge", z.shape, (batch, n, dim))
     full = z.data.reshape(batch, -1, dim)
-    flat_shape = z.shape
+    full_shape, flat_shape = full.shape, z.shape
 
     def backward(g):
-        g_full = np.empty(full.shape)
+        g_full = np.empty(full_shape)
         g_full[:, :n] = g
         g_full[:, n:] = 0.0
         return (g_full.reshape(flat_shape),)

@@ -1,6 +1,7 @@
 """Masking, reconstruction loss gating, loss combination, and the epoch loop."""
 
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from decop.config import RunConfig
 from decop.data import Dataset, patchify_batch, synthetic_sine
 from decop.errors import ConfigError, ContractError
 from decop.model import ModelDims, ModelState
-from decop.optim import Adam
+from decop.optim import Adam, train_epoch
 from decop.pretrain import (
     BatchOutput,
     pretrain_batch,
@@ -240,14 +241,8 @@ def test_mask_token_substitution_happens_after_projection():
     assert np.allclose(out.data[0, 2], expected_masked)
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
-def test_warm_training_step_reuses_freed_memory():
-    # decop.tensor keeps freed arrays in the heap, so once the first steps
-    # have sized it, a step faults in (almost) no fresh pages
-    import resource
-
-    from decop.optim import train_epoch
-
+def _acceptance_step():
+    """One pretraining step at the acceptance shape, batch 64; returns (step, model)."""
     cfg = RunConfig(lookback=512, patch_size=12, stride=12, model_dim=64, windows=(2, 5), batch_size=64)
     model = ModelState(cfg.dims(), cfg.dropout, cfg.blend_init, Rng(3))
     optimizer = Adam(model.pretrain_parameters(), lr=cfg.lr)
@@ -258,9 +253,35 @@ def test_warm_training_step_reuses_freed_memory():
     def forward(x):
         return (pretrain_batch(model, x, cfg, streams["mask"], streams["dropout"]).total,)
 
+    return lambda: train_epoch([(x,)], forward, optimizer, 1), model
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_warm_training_step_reuses_freed_memory():
+    # decop.tensor keeps freed arrays in the heap, so once the first steps
+    # have sized it, a step faults in (almost) no fresh pages
+    import resource
+
+    step, _ = _acceptance_step()
     faults = []
     for _ in range(5):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train_epoch([(x,)], forward, optimizer, 1)
+        step()
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert faults[-1] < 100, faults
+
+
+def test_warm_training_step_peak_memory_is_bounded_in_activations():
+    # the tape keeps only the arrays backward rules read, so a step's peak
+    # stays near ten (2B, N, D) float64 activations; keeping every op's
+    # inputs and outputs until the sweep ends peaks near sixteen
+    step, model = _acceptance_step()
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activation = 2 * 64 * model.dims.n_patches * model.dims.model_dim * 8
+    assert peak <= 11 * activation, peak / activation

@@ -1,5 +1,7 @@
 """Forward contracts and gradient correctness of every autodiff primitive."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,54 @@ def test_backward_clears_tape_and_releases_intermediates():
     assert tape.entries == []
     assert y.grad is None and loss.grad is None
     assert x.grad is not None
+
+
+def test_output_no_backward_reads_is_freed_while_the_tape_is_active():
+    x = Tensor(np.ones((4, 5)), requires_grad=True)
+    with Tape() as tape:
+        y = T.add(x, x)
+        loss = T.sum_all(y)
+        alive = weakref.ref(y.data)
+        del y
+        assert alive() is None
+    tape.backward(loss)
+    assert np.array_equal(x.grad, np.full((4, 5), 2.0))
+
+
+def test_mul_by_constant_keeps_no_reference_to_the_other_operand():
+    p = Tensor(np.arange(6.0), requires_grad=True)
+    with Tape() as tape:
+        x = T.add(p, p)
+        loss = T.sum_all(T.mul(x, Tensor(3.0)))
+        alive = weakref.ref(x.data)
+        del x
+        assert alive() is None
+    tape.backward(loss)
+    assert np.array_equal(p.grad, np.full(6, 6.0))
+
+
+def test_sweep_frees_later_entries_before_earlier_ones_run():
+    # exp keeps its output for its backward; by the time the sweep reaches
+    # the earlier probe entry, exp's entry and that output must be gone
+    p = Tensor(np.linspace(0.0, 1.0, 8), requires_grad=True)
+    freed = []
+
+    def probe(g):
+        freed.append(captured() is None)
+        return (g * 2.0,)
+
+    with Tape() as tape:
+        h = Tensor(p.data * 2.0, requires_grad=True)
+        tape.record((p,), h, probe)
+        e = T.exp(h)
+        captured = weakref.ref(e.data)
+        loss = T.sum_all(e)
+        del e, h
+    assert captured() is not None
+    tape.backward(loss)
+    assert freed == [True]
+    assert tape.entries == []
+    assert np.allclose(p.grad, 2.0 * np.exp(2.0 * np.linspace(0.0, 1.0, 8)))
 
 
 def test_grad_accumulates_across_backwards():
@@ -229,6 +279,20 @@ def test_gelu_matches_pow_form_within_rounding():
     assert np.array_equal(out, 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x)))))
     pow_form = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
     assert np.abs(out - pow_form).max() <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(3264, 256), (512, 512), (1024, 256)])
+def test_gelu_backward_matches_the_plain_expression_bit_for_bit(shape):
+    rng = Rng(fnv1a64(f"gelu-backward-{shape}"))
+    x = rng.normal(shape) * 3.0
+    g = rng.normal(shape)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    sech2 = 1.0 - t * t
+    expected = g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * c * (1.0 + 3 * 0.044715 * x * x))
+    a = Tensor(x, requires_grad=True)
+    run_backward(lambda: T.sum_all(T.mul(T.gelu(a), Tensor(g))))
+    assert np.array_equal(a.grad, expected)
 
 
 def test_dropout_gradient_with_pinned_mask():
