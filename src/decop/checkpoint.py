@@ -132,10 +132,10 @@ def check_structural(config: dict[str, str], dims: ModelDims, path: str) -> None
 
 
 def load(path: str, model: ModelState, require_heads: bool = False) -> None:
-    """Load parameters into ``model``, enforcing structural compatibility.
+    """Fill ``model``'s own parameters; structure, names and shapes must match.
 
-    Head parameters present in the file are restored into ``model.heads``
-    (created if missing); ``require_heads`` errors when the file has none.
+    The file must hold every encoder parameter, and with ``require_heads``
+    the model's task head too. A load that fails changes no parameter.
     """
     try:
         with open(path, "rb") as fh:
@@ -144,8 +144,6 @@ def load(path: str, model: ModelState, require_heads: bool = False) -> None:
         raise CheckpointError(f"checkpoint not found: {path}") from None
     config, manifest, payload = _parse_header(blob, path)
     check_structural(config, model.dims, path)
-
-    from .tensor import Tensor
 
     offset = 0
     restored: dict[str, np.ndarray] = {}
@@ -162,20 +160,15 @@ def load(path: str, model: ModelState, require_heads: bool = False) -> None:
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing payload bytes")
 
     own = model.all_parameters()
-    head_names = [n for n in restored if n.startswith("head.")]
-    if require_heads and not head_names:
-        raise CheckpointError(f"{path}: checkpoint holds no task head parameters")
     for name, values in restored.items():
-        if name.startswith("head.") and name not in own:
-            model.heads[name.removeprefix("head.")] = Tensor(values, requires_grad=True)
-            continue
         if name not in own:
             raise CheckpointError(f"{path}: unknown parameter {name}")
         if own[name].data.shape != values.shape:
             raise CheckpointError(
                 f"{path}: parameter {name} has shape {values.shape}, model expects {own[name].data.shape}"
             )
-        own[name].data[...] = values
-    missing = [n for n in own if n not in restored and not n.startswith("head.")]
+    missing = [n for n in own if n not in restored and (require_heads or not n.startswith("head."))]
     if missing:
         raise CheckpointError(f"{path}: checkpoint is missing parameters: {missing}")
+    for name, values in restored.items():
+        own[name].data[...] = values

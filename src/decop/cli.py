@@ -36,7 +36,7 @@ from .data import (
     write_csv,
 )
 from .errors import ConfigError, DecopError
-from .finetune import evaluate, run_finetuning
+from .finetune import add_task_head, evaluate, run_finetuning
 from .model import ModelState, normalize_windows
 from .pretrain import run_pretraining
 from .rng import Rng
@@ -100,6 +100,7 @@ def _report_text(metrics) -> str:
 def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
     dataset = _load_dataset(cfg)
     model = _build_model(cfg)
+    add_task_head(model, cfg)
     if ckpt_path is not None:
         checkpoint.load(ckpt_path, model)
     history, test_metrics = run_finetuning(model, dataset, cfg)
@@ -124,6 +125,7 @@ def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
 def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
     dataset = _load_dataset(cfg)
     model = _build_model(cfg)
+    add_task_head(model, cfg)
     checkpoint.load(ckpt_path, model, require_heads=True)
     metrics = evaluate(model, dataset, cfg, "test")
     atomic_write_text(os.path.join(cfg.out_dir, "report.txt"), _report_text(metrics))
@@ -161,6 +163,8 @@ def cmd_filter_viz(cfg: RunConfig, channel: int, out_path: str | None) -> int:
 
 
 def cmd_synth(out_path: str, kind: str, rows: int, channels: int, seed: int) -> int:
+    if rows < 1 or channels < 1:
+        raise ConfigError(f"--rows and --channels must be at least 1, got {rows} and {channels}")
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     if kind == "sine":
         write_csv(out_path, synthetic_sine(rows, channels, seed))

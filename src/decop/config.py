@@ -75,8 +75,9 @@ class RunConfig:
             raise ConfigError(f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if len(self.split_ratios) != 3 or abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split_ratios must be three fractions summing to 1: {self.split_ratios}")
+        ratios = self.split_ratios
+        if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or not all(0.0 <= r <= 1.0 for r in ratios):
+            raise ConfigError(f"split_ratios must be three fractions in [0, 1] summing to 1: {ratios}")
         if not self.windows or any(w < 1 for w in self.windows):
             raise ConfigError(f"windows must be positive integers: {self.windows}")
         if list(self.windows) != sorted(self.windows):

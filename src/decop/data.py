@@ -199,7 +199,8 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     Rows are numbered from 1 at the header for error reporting. Channel
     cells must be finite numbers and labels integers. With ``spec.classes``
     set, a ``label`` column is required and every label must lie in
-    ``[0, classes)``.
+    ``[0, classes)``. The train split must hold a row, since its
+    statistics standardize every channel.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -261,6 +262,10 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
         raise SizeError(f"{path}: {n_rows} usable rows, need at least {spec.min_rows}")
 
     boundaries = _split_boundaries(n_rows, spec)
+    if boundaries[0] == 0:
+        raise SizeError(
+            f"{spec.name}: split 'train' has 0 of {n_rows} rows, but the channel statistics need one"
+        )
     train_rows = values[: boundaries[0]]
     mean = train_rows.mean(axis=0)
     std = np.maximum(train_rows.std(axis=0), STD_FLOOR)

@@ -60,7 +60,7 @@ def forecast_forward(model: ModelState, windows: np.ndarray, train: bool, rng: R
     grew the encoder output.
     """
     if "forecast_w" not in model.heads:
-        raise ContractError("model has no forecast head; call add_forecast_head first")
+        raise ContractError("model has no forecast head; call add_task_head first")
     patches, stats = normalize_windows(model, windows)
     encoded, _ = encode_patches(model, patches, train, rng)
     b, n, d = encoded.shape
@@ -76,7 +76,7 @@ def classify_forward(model: ModelState, windows: np.ndarray, train: bool, rng: R
     the same reason as in :func:`forecast_forward`.
     """
     if "classify_w" not in model.heads:
-        raise ContractError("model has no classification head; call add_classify_head first")
+        raise ContractError("model has no classification head; call add_task_head first")
     patches, _ = normalize_windows(model, windows)
     encoded, _ = encode_patches(model, patches, train, rng)
     pooled = T.mean_axis(T.standardize(encoded), axis=1)
@@ -127,6 +127,12 @@ def compute_metrics(preds: np.ndarray, targets: np.ndarray, task: str, classes: 
         recall=float(recall.mean() * 100.0),
         f1=float(f1.mean() * 100.0),
     )
+
+
+def add_task_head(model: ModelState, cfg: RunConfig) -> None:
+    """Give ``model`` the head ``cfg.task`` trains, drawn from ``Rng(cfg.seed)``, unless it has one."""
+    if f"{cfg.task}_w" not in model.heads:
+        model.add_head(cfg.task, cfg.horizon if cfg.task == "forecast" else cfg.classes, Rng(cfg.seed))
 
 
 def target_horizon(cfg: RunConfig) -> int:
@@ -199,10 +205,7 @@ def run_finetuning(
         require_window(dataset, model.dims.lookback, target_horizon(cfg), split)
     root = Rng(cfg.seed)
     streams = {name: root.child(name) for name in ("shuffle", "dropout")}
-    if cfg.task == "forecast" and "forecast_w" not in model.heads:
-        model.add_forecast_head(cfg.horizon, root)
-    if cfg.task == "classify" and "classify_w" not in model.heads:
-        model.add_classify_head(cfg.classes, root)
+    add_task_head(model, cfg)
     optimizer = Adam(model.finetune_parameters(), lr=cfg.lr)
     history: list[FinetuneEpochMetrics] = []
     best = model.snapshot()

@@ -92,17 +92,12 @@ class ModelState:
             params[f"head.{name}"] = tensor
         return params
 
-    def add_forecast_head(self, horizon: int, rng: Rng) -> None:
-        width = self.dims.n_patches * self.dims.model_dim
+    def add_head(self, task: str, size: int, rng: Rng) -> None:
+        """Map the flattened patches (forecast) or one pooled patch (classify) onto ``size`` outputs."""
+        width = self.dims.model_dim * (self.dims.n_patches if task == "forecast" else 1)
         init = rng.child("init-head")
-        self.heads["forecast_w"] = Tensor(_uniform_init(init, (width, horizon), width), requires_grad=True)
-        self.heads["forecast_b"] = Tensor(_uniform_init(init, (horizon,), width), requires_grad=True)
-
-    def add_classify_head(self, classes: int, rng: Rng) -> None:
-        d = self.dims.model_dim
-        init = rng.child("init-head")
-        self.heads["classify_w"] = Tensor(_uniform_init(init, (d, classes), d), requires_grad=True)
-        self.heads["classify_b"] = Tensor(_uniform_init(init, (classes,), d), requires_grad=True)
+        self.heads[f"{task}_w"] = Tensor(_uniform_init(init, (width, size), width), requires_grad=True)
+        self.heads[f"{task}_b"] = Tensor(_uniform_init(init, (size,), width), requires_grad=True)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.all_parameters().items()}

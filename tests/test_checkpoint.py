@@ -19,11 +19,12 @@ def _model(patch=8, seed=3, **kw):
 
 def test_save_load_save_is_byte_identical(tmp_path):
     model = _model()
-    model.add_forecast_head(4, Rng(4))
+    model.add_head("forecast", 4, Rng(4))
     first = str(tmp_path / "a.decop")
     second = str(tmp_path / "b.decop")
     checkpoint.save(first, model)
     fresh = _model(seed=99)
+    fresh.add_head("forecast", 4, Rng(99))
     checkpoint.load(first, fresh)
     checkpoint.save(second, fresh)
     assert open(first, "rb").read() == open(second, "rb").read()
@@ -62,19 +63,48 @@ def test_requires_heads_when_asked(tmp_path):
     model = _model()
     path = str(tmp_path / "enc.decop")
     checkpoint.save(path, model)
+    fresh = _model(seed=5)
+    fresh.add_head("forecast", 4, Rng(5))
     with pytest.raises(CheckpointError, match="head"):
-        checkpoint.load(path, _model(seed=5), require_heads=True)
+        checkpoint.load(path, fresh, require_heads=True)
 
 
 def test_head_parameters_round_trip(tmp_path):
     model = _model()
-    model.add_classify_head(3, Rng(6))
+    model.add_head("classify", 3, Rng(6))
     path = str(tmp_path / "cls.decop")
     checkpoint.save(path, model)
     fresh = _model(seed=9)
+    fresh.add_head("classify", 3, Rng(9))
     checkpoint.load(path, fresh, require_heads=True)
     assert "classify_w" in fresh.heads
     assert fresh.heads["classify_w"].data.shape == (6, 3)
+
+
+@pytest.mark.parametrize(
+    "task, size, message",
+    [
+        (None, 0, "unknown parameter head.classify_w"),
+        ("classify", 2, "head.classify_w has shape (6, 3), model expects (6, 2)"),
+        ("forecast", 3, "unknown parameter head.classify_w"),
+    ],
+    ids=["no-head", "other-size", "other-task"],
+)
+def test_load_fills_only_the_models_own_head(tmp_path, task, size, message):
+    model = _model()
+    model.add_head("classify", 3, Rng(6))
+    path = str(tmp_path / "cls.decop")
+    checkpoint.save(path, model)
+    fresh = _model(seed=9)
+    if task is not None:
+        fresh.add_head(task, size, Rng(9))
+    before = fresh.snapshot()
+    with pytest.raises(CheckpointError) as err:
+        checkpoint.load(path, fresh)
+    assert message in str(err.value)
+    after = fresh.snapshot()
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[name], before[name]) for name in before)
 
 
 def test_serialized_value_count_matches_analytic_params(tmp_path):

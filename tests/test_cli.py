@@ -346,15 +346,22 @@ def test_non_utf8_csv_is_one_data_error(pretrained, capsys):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"patience": "-1"}, {"patience": "0"}, {"lr": "fast"}, {"lr": "nan"}, {"blend_init": "inf"}],
-    ids=["patience-negative", "patience-zero", "lr-not-numeric", "lr-nan", "blend-init-inf"],
+    [
+        {"patience": "-1"}, {"patience": "0"}, {"lr": "fast"}, {"lr": "nan"}, {"blend_init": "inf"},
+        {"split_ratios": "1.2,-0.1,-0.1"}, {"split_ratios": "0.7,0.4,-0.1"},
+    ],
+    ids=[
+        "patience-negative", "patience-zero", "lr-not-numeric", "lr-nan", "blend-init-inf",
+        "split-ratio-above-one", "split-ratio-negative",
+    ],
 )
 def test_bad_config_field_is_one_config_error(pretrained, capsys, overrides):
     tmp_path, data, _ = pretrained
     cfg = _config(tmp_path, data, "badfield", **overrides)
     code = main(["finetune", "--config", cfg])
-    _assert_one_error_line(code, capsys, "config")
+    assert next(iter(overrides)) in _assert_one_error_line(code, capsys, "config")
     assert code == 2
+    assert not (tmp_path / "badfield").exists()
 
 
 def test_mask_ratio_that_masks_no_patch_is_one_config_error(workspace, capsys):
@@ -392,3 +399,89 @@ def test_non_utf8_config_is_one_config_error(tmp_path, capsys):
     bad.write_bytes(b"dataset_name = caf\xe9\n")
     code = main(["pretrain", "--config", str(bad)])
     _assert_one_error_line(code, capsys, "config")
+
+
+# ---------------------------------------------------------------------------
+# a checkpoint head that does not fit the run is one checkpoint error at load
+
+
+@pytest.fixture(scope="module")
+def finetuned(tmp_path_factory):
+    from decop.data import synthetic_two_class
+
+    tmp_path = tmp_path_factory.mktemp("heads")
+    sine = tmp_path / "toy.csv"
+    write_csv(str(sine), synthetic_sine(420, 2, seed=5, periods=(12.0, 18.0)))
+    assert main(["finetune", "--config", _config(tmp_path, str(sine), "fc", epochs=1)]) == 0
+    two_class = tmp_path / "cls.csv"
+    write_csv(str(two_class), *synthetic_two_class(600, 1, seed=9, segment=100))
+    cls_cfg = _config(tmp_path, str(two_class), "cls", task="classify", classes=2, epochs=1)
+    assert main(["finetune", "--config", cls_cfg]) == 0
+    return tmp_path, str(sine), str(two_class)
+
+
+@pytest.mark.parametrize(
+    "command, source, overrides, message",
+    [
+        ("eval", "cls", {"task": "classify", "classes": 3}, "head.classify_w has shape (8, 2), model expects (8, 3)"),
+        ("eval", "fc", {"horizon": 6}, "head.forecast_w has shape (56, 12), model expects (56, 6)"),
+        ("finetune", "fc", {"horizon": 6}, "head.forecast_w has shape (56, 12), model expects (56, 6)"),
+        ("finetune", "cls", {}, "unknown parameter head.classify_w"),
+    ],
+    ids=["eval-other-classes", "eval-other-horizon", "finetune-other-horizon", "forecast-from-classify"],
+)
+def test_head_that_does_not_fit_the_run_is_one_checkpoint_error(
+    finetuned, capsys, command, source, overrides, message
+):
+    tmp_path, sine, two_class = finetuned
+    capsys.readouterr()
+    data = two_class if overrides.get("task") == "classify" else sine
+    out = f"{command}-{source}-{len(overrides)}"
+    cfg = _config(tmp_path, data, out, epochs=1, **overrides)
+    ckpt = str(tmp_path / source / "ckpt_finetuned.decop")
+    code = main([command, "--config", cfg, "--checkpoint", ckpt])
+    assert message in _assert_one_error_line(code, capsys, "checkpoint")
+    assert code == 3
+    assert not (tmp_path / out).exists()
+
+
+def test_eval_of_a_pretrained_checkpoint_names_the_missing_head(pretrained, capsys):
+    tmp_path, data, blob = pretrained
+    ckpt = tmp_path / "encoder-only.decop"
+    ckpt.write_bytes(blob)
+    cfg = _config(tmp_path, data, "ev-encoder-only")
+    code = main(["eval", "--config", cfg, "--checkpoint", str(ckpt)])
+    assert "missing parameters: ['head.forecast_w', 'head.forecast_b']" in _assert_one_error_line(
+        code, capsys, "checkpoint"
+    )
+    assert not (tmp_path / "ev-encoder-only").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--rows", "-5"], ["--channels", "-2"], ["--channels", "0"], ["--rows", "0"]],
+    ids=["rows-negative", "channels-negative", "channels-zero", "rows-zero"],
+)
+def test_synth_size_below_one_is_one_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "synth" / "data.csv"
+    code = main(["synth", "--out", str(out)] + flags)
+    assert "--rows and --channels must be at least 1" in _assert_one_error_line(code, capsys, "config")
+    assert code == 2
+    assert not (tmp_path / "synth").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+@pytest.mark.parametrize("case", ["header-only", "empty-train-ratio"])
+def test_empty_train_split_is_one_data_error(workspace, capsys, command, case):
+    # the channel statistics come from the train rows; none is a data error,
+    # not a NaN mean (and its RuntimeWarnings) first
+    tmp_path, data = workspace
+    if case == "header-only":
+        data = tmp_path / "header-only.csv"
+        data.write_text("ch0,ch1\n", encoding="utf-8")
+        cfg = _config(tmp_path, str(data), "empty-train")
+    else:
+        cfg = _config(tmp_path, data, "empty-train", split_ratios="0,0.5,0.5")
+    code = main([command, "--config", cfg])
+    assert "split 'train' has 0 of" in _assert_one_error_line(code, capsys, "data")
+    assert code == 3
+    assert not (tmp_path / "empty-train").exists()

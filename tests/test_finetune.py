@@ -47,7 +47,7 @@ def _sine_dataset(rows=400, channels=2, seed=2, noise=0.05, boundaries=(0.6, 0.8
 
 def test_zero_head_forecasts_the_instance_mean():
     model = _model()
-    model.add_forecast_head(5, Rng(3))
+    model.add_head("forecast", 5, Rng(3))
     model.heads["forecast_w"].data[...] = 0.0
     model.heads["forecast_b"].data[...] = 0.0
     windows = Rng(4).normal((3, 32)) + 2.0
@@ -58,7 +58,7 @@ def test_zero_head_forecasts_the_instance_mean():
 
 def test_forecast_is_deterministic():
     model = _model()
-    model.add_forecast_head(4, Rng(5))
+    model.add_head("forecast", 4, Rng(5))
     windows = Rng(6).normal((2, 32))
     a = forecast_forward(model, windows, train=False, rng=None).data
     b = forecast_forward(model, windows, train=False, rng=None).data
@@ -77,7 +77,7 @@ def test_unknown_task_is_a_config_error():
 
 def test_zero_classify_head_gives_uniform_scores_argmax_zero():
     model = _model()
-    model.add_classify_head(3, Rng(7))
+    model.add_head("classify", 3, Rng(7))
     model.heads["classify_w"].data[...] = 0.0
     model.heads["classify_b"].data[...] = 0.0
     scores = classify_forward(model, Rng(8).normal((4, 32)), False, None)
@@ -102,7 +102,7 @@ def _check_finetune_gradients(model, loss_value):
 
 def test_forecast_mse_gradients_match_finite_differences():
     model = _model(lookback=24, d=5, seed=41, dropout=0.1)
-    model.add_forecast_head(3, Rng(42))
+    model.add_head("forecast", 3, Rng(42))
     windows = Rng(43).normal((3, 24)) * 1.5 + 0.4
     target = Tensor(Rng(44).normal((3, 3)))
 
@@ -116,7 +116,7 @@ def test_forecast_mse_gradients_match_finite_differences():
 
 def test_classify_cross_entropy_gradients_match_finite_differences():
     model = _model(lookback=24, d=5, seed=51, dropout=0.1)
-    model.add_classify_head(3, Rng(52))
+    model.add_head("classify", 3, Rng(52))
     windows = Rng(53).normal((4, 24)) * 1.5 + 0.4
     labels = np.array([0, 2, 1, 2])
 
@@ -135,8 +135,8 @@ def test_head_predictions_ignore_encoder_output_scale():
     # exactly c; the heads read it standardized, so predictions stay put
     # up to the eps term.
     model = _model(seed=61)
-    model.add_forecast_head(5, Rng(62))
-    model.add_classify_head(3, Rng(63))
+    model.add_head("forecast", 5, Rng(62))
+    model.add_head("classify", 3, Rng(63))
     windows = Rng(64).normal((4, 32)) * 1.7 + 0.3
 
     def outputs():
@@ -245,7 +245,7 @@ def test_zero_lr_leaves_parameters_and_metrics_fixed():
     model = _model()
     ds = _sine_dataset()
     cfg = RunConfig(task="forecast", horizon=8, batch_size=16, seed=11)
-    model.add_forecast_head(8, Rng(11))
+    model.add_head("forecast", 8, Rng(11))
     before = model.snapshot()
     initial = evaluate(model, ds, cfg, "test")
     optimizer = Adam(model.finetune_parameters(), lr=0.0)
@@ -284,9 +284,9 @@ def test_nonfinite_loss_aborts_with_batch_diagnostic(task):
     ds = Dataset("nan", values, (200, 250, 300), np.zeros(2), np.ones(2), labels)
     model = _model()
     if task == "forecast":
-        model.add_forecast_head(8, Rng(18))
+        model.add_head("forecast", 8, Rng(18))
     else:
-        model.add_classify_head(2, Rng(18))
+        model.add_head("classify", 2, Rng(18))
     for p in model.heads.values():
         p.data[...] = np.nan
     before = model.snapshot()
@@ -338,7 +338,7 @@ def test_separable_two_class_set_reaches_full_train_accuracy():
 
     dims = ModelDims(32, 8, 8, 8, (2,), "mlp")
     model = ModelState(dims, dropout=0.0, blend_init=0.01, rng=Rng(16))
-    model.add_classify_head(2, Rng(16))
+    model.add_head("classify", 2, Rng(16))
     optimizer = Adam(model.finetune_parameters(), lr=5e-3)
     accuracy = 0.0
     for epoch in range(50):
@@ -383,7 +383,7 @@ def test_denormalization_consistency_against_direct_statistics():
     # a zero head predicts each window's mean; its MSE must equal the mean
     # squared deviation of the horizon from that mean, computed directly
     model = _model()
-    model.add_forecast_head(6, Rng(19))
+    model.add_head("forecast", 6, Rng(19))
     model.heads["forecast_w"].data[...] = 0.0
     model.heads["forecast_b"].data[...] = 0.0
     ds = _sine_dataset(rows=300, seed=20)

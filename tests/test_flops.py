@@ -31,7 +31,7 @@ def test_parameter_count_matches_real_model():
     model = ModelState(dims, dropout=0.1, blend_init=0.01, rng=Rng(1))
     actual = sum(p.size for p in model.pretrain_parameters().values())
     assert flops.pretrain_param_count(dims) == actual
-    model.add_forecast_head(12, Rng(2))
+    model.add_head("forecast", 12, Rng(2))
     encoder_and_head = sum(p.size for p in model.finetune_parameters().values())
     assert flops.finetune_param_count(dims, "forecast", horizon=12) == encoder_and_head
 
