@@ -94,7 +94,7 @@ def encoder_forward(
     The pre-residual representation of the deepest block is what the
     alignment loss compares across a positive pair.
     """
-    pre = z
-    for block in blocks:
-        z, pre = block_forward(z, block, cfg, train, rng)
-    return z, pre
+    # no earlier block's pre-residual stays bound while a later block runs
+    for block in blocks[:-1]:
+        z = block_forward(z, block, cfg, train, rng)[0]
+    return block_forward(z, blocks[-1], cfg, train, rng)

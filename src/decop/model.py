@@ -136,7 +136,15 @@ def encode_patches(
     b, n, p = patches.shape
     d = model.dims.model_dim
     flat = T.reshape(patches, (b * n, p))
-    z = T.reshape(T.affine(flat, model.proj_w, model.proj_b), (b, n, d))
     fill = None if mask is None else model.mask_token
-    z = T.add_positions(z, model.pos, mask, fill)
-    return dcl.encoder_forward(z, model.blocks, model.cfg, train, rng)
+    # the projection and the first block's input go unnamed, so this frame
+    # holds neither while the blocks run
+    return dcl.encoder_forward(
+        T.add_positions(
+            T.reshape(T.affine(flat, model.proj_w, model.proj_b), (b, n, d)), model.pos, mask, fill
+        ),
+        model.blocks,
+        model.cfg,
+        train,
+        rng,
+    )

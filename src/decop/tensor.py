@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -138,24 +139,60 @@ class Tape:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self.entries:
             raise ContractError("backward on an empty tape")
-        # stored gradient arrays are never mutated in place (accumulation
-        # allocates), so backward rules may return views of their input
         grads: dict[int | None, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         entries = self.entries
         while entries:
-            refs, node, backward_fn = entries.pop()
-            g_out = grads.pop(node, None)
-            if g_out is None:
-                continue
-            for ref, g in zip(refs, backward_fn(g_out)):
-                if g is None or ref is None:
-                    continue
-                if isinstance(ref, Tensor):
-                    if ref.grad is None:
-                        ref.grad = np.zeros_like(ref.data)
-                    ref.grad += g
-                else:
-                    grads[ref] = grads[ref] + g if ref in grads else g
+            _run_entry(grads, *entries.pop())
+
+
+def _refs_when_only_grads_holds() -> int:
+    """``sys.getrefcount`` of an array that only the ``grads`` dict holds.
+
+    Read the way :func:`_run_entry` reads it: 3 on CPython 3.11, fewer on
+    an interpreter whose loads of a local borrow its reference.
+    """
+    grads = {0: np.empty(1)}
+    acc = grads.get(0)
+    return sys.getrefcount(acc)
+
+
+_SOLE_OWNER_REFS = _refs_when_only_grads_holds()
+
+
+def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn) -> None:
+    """Apply one entry's backward rule and accumulate what it returns.
+
+    A function of its own, so that none of its arrays stays bound while
+    the next entry runs. Backward rules may return views of their input
+    or one array for two inputs, so a stored gradient is added into in
+    place only when the sweep owns it outright: an ``ndarray`` (a numpy
+    scalar would rebind ``acc`` instead) that owns its data, has the
+    incoming shape, and is referenced by nothing but ``grads``.
+    Otherwise the sum allocates.
+    """
+    g_out = grads.pop(node, None)
+    if g_out is None:
+        return
+    for ref, g in zip(refs, backward_fn(g_out)):
+        if g is None or ref is None:
+            continue
+        if isinstance(ref, Tensor):
+            if ref.grad is None:
+                ref.grad = np.zeros_like(ref.data)
+            ref.grad += g
+            continue
+        acc = grads.get(ref)
+        if acc is None:
+            grads[ref] = g
+        elif (
+            type(acc) is np.ndarray
+            and acc.base is None
+            and sys.getrefcount(acc) == _SOLE_OWNER_REFS
+            and acc.shape == g.shape
+        ):
+            acc += g
+        else:
+            grads[ref] = acc + g
 
 
 def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
@@ -492,7 +529,17 @@ def dropout_add(a: Tensor, b: Tensor, p: float, rng: Rng | None, train: bool) ->
         return _record((a, b), a.data + b.data, lambda g: (g, g))
     if rng is None:
         raise ContractError("train-mode dropout needs an rng stream")
-    mask = np.where(rng.bernoulli(p, b.shape), 0.0, 1.0 / (1.0 - p))
-    out = b.data * mask
+    # a 1-byte keep mask; keep * scale equals where(drop, 0, scale), so
+    # both products match the float-mask form bit for bit
+    scale = 1.0 / (1.0 - p)
+    keep = ~rng.bernoulli(p, b.shape)
+    out = np.multiply(keep, scale)
+    out *= b.data
     out += a.data
-    return _record((a, b), out, lambda g: (g, g * mask))
+
+    def backward(g):
+        gb = np.multiply(keep, scale)
+        gb *= g
+        return (g, gb)
+
+    return _record((a, b), out, backward)

@@ -451,3 +451,100 @@ def test_standardize_backward_leaves_incoming_gradient_intact():
         return T.sum_all(T.mul(both, weights))
 
     _fd_check("standardize_shared", build, [x])
+
+
+# ---------------------------------------------------------------------------
+# in-place accumulation in the sweep
+
+
+def test_sweep_adds_into_a_gradient_array_only_it_holds():
+    # h feeds two ops; the first contribution the sweep stores is an array
+    # nothing else holds, so the second one is added into it in place
+    p = Tensor(np.arange(4.0), requires_grad=True)
+    stored, received = [], []
+
+    def first_contribution(g):
+        out = g * 2.0
+        stored.append(weakref.ref(out))
+        return (out,)
+
+    def probe(g):
+        received.append(g is stored[0]())
+        return (g,)
+
+    with Tape() as tape:
+        h = Tensor(p.data.copy(), requires_grad=True)
+        tape.record((p,), h, probe)
+        other = T.mul(h, Tensor(3.0))
+        y = Tensor(h.data * 2.0, requires_grad=True)
+        tape.record((h,), y, first_contribution)
+        loss = T.add(T.sum_all(y), T.sum_all(other))
+    tape.backward(loss)
+    assert received == [True]
+    assert np.array_equal(p.grad, np.full(4, 5.0))
+
+
+@pytest.mark.parametrize("through_view", [False, True], ids=["owned", "view"])
+def test_gradient_shared_by_two_inputs_is_not_added_into(through_view):
+    # add's backward returns one array for both of its inputs. When u gets
+    # a second contribution later in the sweep, v's gradient (the same
+    # array, or the base of u's view of it) must stay as it was.
+    rng = Rng(fnv1a64("shared-grad"))
+    x = Tensor(rng.normal((2, 3) if through_view else (4, 3)), requires_grad=True)
+    w = Tensor(rng.normal((4, 3)), requires_grad=True)
+    c = Tensor(rng.normal(x.shape))
+    k = Tensor(rng.normal((4, 3)))
+    rest = Tensor(rng.normal((2, 3)))
+
+    def build():
+        u = T.mul(x, x)
+        v = T.mul(w, w)
+        other_use = T.mul(u, c)
+        if through_view:
+            # concat_rows hands u a view of the array add gives both inputs
+            u = T.concat_rows(u, rest)
+        y = T.add(u, v)
+        return T.add(T.sum_all(T.mul(y, k)), T.sum_all(other_use))
+
+    _fd_check("shared", build, [x, w])
+
+
+def test_dropout_add_of_one_tensor_with_itself_matches_finite_differences():
+    # dropout_add(h, h) gives h two contributions; the first is the very
+    # array add hands to e as well, so adding the second into it in place
+    # would change e's gradient
+    rng = Rng(fnv1a64("dropout-self"))
+    x = Tensor(rng.normal((6, 5)), requires_grad=True)
+    w = Tensor(rng.normal((6, 5)), requires_grad=True)
+    k = Tensor(rng.normal((6, 5)))
+
+    def build():
+        h = T.mul(x, x)
+        e = T.mul(w, w)
+        d = T.dropout_add(h, h, 0.4, Rng(77), train=True)
+        return T.sum_all(T.mul(T.add(d, e), k))
+
+    _fd_check("dropout_add_self", build, [x, w])
+
+
+def test_dropout_add_matches_the_float_mask_form_bit_for_bit():
+    p, seed = 0.4, fnv1a64("dropout-bits")
+    scale = 1.0 / (1.0 - p)
+    values = Rng(seed).normal(128) * 10.0
+    values[:10] = [0.0, -0.0, -1.5, 1e300, -1e300, 3e299, 5e-324, -5e-324, 7.25, -0.1]
+    a = Tensor(values.reshape(8, 16), requires_grad=True)
+    b = Tensor(values[::-1].reshape(8, 16), requires_grad=True)
+    g = np.roll(values, 5).reshape(8, 16)
+    drop = Rng(seed).bernoulli(p, (8, 16))
+    assert drop.any() and not drop.all()
+
+    with Tape() as tape:
+        out = T.dropout_add(a, b, p, Rng(seed), train=True)
+    _, _, backward = tape.entries[-1]
+    _, gb = backward(g)
+
+    float_mask = np.where(drop, 0.0, scale)
+    assert np.array_equal(out.data.view(np.uint64), (b.data * float_mask + a.data).view(np.uint64))
+    assert np.array_equal(gb.view(np.uint64), (g * float_mask).view(np.uint64))
+    kept = [c.cell_contents for c in backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    assert [m.itemsize for m in kept] == [1]
