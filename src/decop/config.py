@@ -133,7 +133,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_config_text(fh.read())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None

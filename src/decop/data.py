@@ -5,10 +5,10 @@ independently downstream: every training sample is a univariate look-back
 window from a single channel, optionally paired with a forecast horizon
 or a class label.
 
-CSV contract: UTF-8, comma separated, one header row. A first column
-named ``date`` is ignored. A column named ``label`` (anywhere) supplies
-per-row integer class labels and is not a channel. Every other column is
-a numeric channel.
+CSV contract: UTF-8 (a leading byte-order mark is ignored), comma
+separated, one header row. A first column named ``date`` is ignored. A
+column named ``label`` (anywhere) supplies per-row integer class labels
+and is not a channel. Every other column is a numeric channel.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class Dataset:
     labels: np.ndarray | None = None
 
     @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_channels(self) -> int:
         return self.values.shape[1]
 
@@ -91,20 +87,6 @@ class WindowSample:
     label: int | None = None
 
 
-@dataclass
-class PatchSet:
-    """Patched view of a look-back window plus the record to invert it."""
-
-    patches: np.ndarray
-    patch_size: int
-    stride: int
-    pad_count: int
-
-    @property
-    def n_patches(self) -> int:
-        return self.patches.shape[0]
-
-
 def n_patches_for(length: int, patch_size: int, stride: int) -> int:
     """Patch count for a window: floor((L - P) / S) + 2.
 
@@ -116,19 +98,6 @@ def n_patches_for(length: int, patch_size: int, stride: int) -> int:
     if not 0 < stride <= patch_size:
         raise ContractError(f"stride {stride} must be in (0, patch size {patch_size}]")
     return (length - patch_size) // stride + 2
-
-
-def patchify(x: np.ndarray, patch_size: int, stride: int) -> PatchSet:
-    """Cut a window into N x P patches, replicating the last value to pad."""
-    x = np.asarray(x, dtype=np.float64)
-    patches = patchify_batch(x[None, :], patch_size, stride)[0]
-    pad_count = (patches.shape[0] - 1) * stride + patch_size - x.shape[0]
-    return PatchSet(patches, patch_size, stride, pad_count)
-
-
-def unpatchify(ps: PatchSet, length: int) -> np.ndarray:
-    """Invert :func:`patchify` back to the first ``length`` points."""
-    return unpatchify_batch(ps.patches[None], ps.stride, length)[0]
 
 
 def patchify_batch(xs: np.ndarray, patch_size: int, stride: int) -> np.ndarray:
@@ -203,7 +172,7 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     statistics standardize every channel.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -60,15 +60,6 @@ def init_block(cfg: DclConfig, window: int, rng: Rng) -> DclBlock:
     return block
 
 
-def block_param_count(cfg, window: int) -> int:
-    """Learner parameters of one block; ``cfg`` is a DclConfig or ModelDims."""
-    width = window * cfg.model_dim
-    if cfg.learner == "linear":
-        return width * width + width
-    hidden = cfg.hidden_mult * width
-    return width * hidden + hidden + hidden * width + width
-
-
 def apply_learner(flat: Tensor, block: DclBlock, cfg: DclConfig) -> Tensor:
     if cfg.learner == "linear":
         return T.affine(flat, block.params["w"], block.params["b"])

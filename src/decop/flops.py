@@ -8,13 +8,16 @@ univariate passes). Frequency-domain view generation is data
 preparation, not model compute, and is excluded. The pretrain stage runs
 projection, the encoder blocks, and the patch reconstruction head; the
 fine-tune stage swaps the reconstruction head for the task head.
+
+Both counts read one list of the affine layers a univariate pass runs,
+as ``(rows, fan_in, fan_out)``: a layer holds ``fan_in * fan_out +
+fan_out`` parameters and costs ``rows * fan_in * fan_out`` MACs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dcl import block_param_count
 from .model import ModelDims
 
 
@@ -33,61 +36,50 @@ class StageReport:
         return 2 * self.macs
 
 
-def _groups(n: int, window: int) -> int:
-    return -(-n // window)
-
-
-def encoder_param_count(dims: ModelDims) -> int:
-    total = dims.patch_size * dims.model_dim + dims.model_dim  # projection
-    total += dims.n_patches * dims.model_dim  # positional table
-    total += 1  # normalization blend
+def _encoder_layers(dims: ModelDims) -> list[tuple[int, int, int]]:
+    """The patch projection, then each block's learner on its windows."""
+    n, d = dims.n_patches, dims.model_dim
+    layers = [(n, dims.patch_size, d)]
     for w in dims.windows:
-        total += block_param_count(dims, w)
-    return total
-
-
-def pretrain_param_count(dims: ModelDims) -> int:
-    total = encoder_param_count(dims)
-    total += dims.model_dim  # mask token
-    total += dims.model_dim * dims.patch_size + dims.patch_size  # reconstruction head
-    return total
-
-
-def finetune_param_count(dims: ModelDims, task: str, horizon: int = 0, classes: int = 0) -> int:
-    total = encoder_param_count(dims)
-    if task == "forecast":
-        total += dims.n_patches * dims.model_dim * horizon + horizon
-    else:
-        total += dims.model_dim * classes + classes
-    return total
-
-
-def _encoder_macs(dims: ModelDims) -> int:
-    n, d, p = dims.n_patches, dims.model_dim, dims.patch_size
-    macs = n * p * d  # projection
-    for w in dims.windows:
-        width = w * d
+        groups, width = -(-n // w), w * d
         if dims.learner == "linear":
-            macs += _groups(n, w) * width * width
+            layers.append((groups, width, width))
         else:
-            macs += _groups(n, w) * 2 * dims.hidden_mult * width * width
-    return macs
+            hidden = dims.hidden_mult * width
+            layers += [(groups, width, hidden), (groups, hidden, width)]
+    return layers
+
+
+def _report(
+    dims: ModelDims, head: tuple[int, int, int], n_channels: int, extra_params: int = 0
+) -> StageReport:
+    layers = _encoder_layers(dims) + [head]
+    # the positional table and the normalization blend are not affine weights
+    params = dims.n_patches * dims.model_dim + 1 + extra_params
+    params += sum(fan_in * fan_out + fan_out for _, fan_in, fan_out in layers)
+    macs = sum(rows * fan_in * fan_out for rows, fan_in, fan_out in layers)
+    return StageReport(params, macs, n_channels)
 
 
 def pretrain_report(dims: ModelDims, n_channels: int) -> StageReport:
-    macs = _encoder_macs(dims) + dims.n_patches * dims.model_dim * dims.patch_size
-    return StageReport(pretrain_param_count(dims), macs, n_channels)
+    """Encoder, per-patch reconstruction head and the mask token."""
+    head = (dims.n_patches, dims.model_dim, dims.patch_size)
+    return _report(dims, head, n_channels, extra_params=dims.model_dim)
+
+
+def pretrain_param_count(dims: ModelDims) -> int:
+    return pretrain_report(dims, 1).params
 
 
 def finetune_report(
     dims: ModelDims, n_channels: int, task: str, horizon: int = 0, classes: int = 0
 ) -> StageReport:
-    macs = _encoder_macs(dims)
+    """Encoder and task head: flattened patches to horizon, or pooled patches to classes."""
     if task == "forecast":
-        macs += dims.n_patches * dims.model_dim * horizon
+        head = (1, dims.n_patches * dims.model_dim, horizon)
     else:
-        macs += dims.model_dim * classes
-    return StageReport(finetune_param_count(dims, task, horizon, classes), macs, n_channels)
+        head = (1, dims.model_dim, classes)
+    return _report(dims, head, n_channels)
 
 
 def format_report(stage: str, report: StageReport) -> str:

@@ -4,7 +4,7 @@ Each patch is normalized with statistics that blend its own mean and
 variance against the whole window's, controlled by one learnable scalar:
 blend 0 is pure instance normalization, blend 1 is pure per-patch
 normalization. The blended variance can go negative for blends outside
-[0, 1], so it is clamped at ``eps`` before use and the clamp events are
+[0, 1], so it is clamped at ``EPS`` before use and the clamp events are
 surfaced as a diagnostic counter.
 
 All outputs are tensor-graph values: gradients flow to the blend
@@ -28,7 +28,7 @@ class NormStats:
 
     Shapes, for a (B, N, P) patch batch over (B, L) windows:
     patch mean and variance (B, N); instance mean and variance (B, 1);
-    blended mean (B, N); blended variance (B, N), clamped at ``eps``;
+    blended mean (B, N); blended variance (B, N), clamped at ``EPS``;
     ``clamp_count`` is the number of clamped entries in this batch.
     """
 
@@ -38,11 +38,10 @@ class NormStats:
     instance_var: Tensor
     mean: Tensor
     var: Tensor
-    eps: float
     clamp_count: int
 
 
-def compute_stats(patches: Tensor, windows: Tensor, blend: Tensor, eps: float = EPS) -> NormStats:
+def compute_stats(patches: Tensor, windows: Tensor, blend: Tensor) -> NormStats:
     """Blend patch-level and instance-level statistics.
 
     ``patches`` is (B, N, P) cut from the (B, L) ``windows``; instance
@@ -60,15 +59,15 @@ def compute_stats(patches: Tensor, windows: Tensor, blend: Tensor, eps: float = 
     one_minus = T.sub(Tensor(1.0), blend)
     mean = T.add(T.mul(one_minus, inst_mean), T.mul(blend, patch_mean))
     var_raw = T.add(T.mul(one_minus, inst_var), T.mul(blend, patch_var))
-    clamp_count = int((var_raw.data <= eps).sum())
-    var = T.clamp_min(var_raw, eps)
-    return NormStats(patch_mean, patch_var, inst_mean, inst_var, mean, var, eps, clamp_count)
+    clamp_count = int((var_raw.data <= EPS).sum())
+    var = T.clamp_min(var_raw, EPS)
+    return NormStats(patch_mean, patch_var, inst_mean, inst_var, mean, var, clamp_count)
 
 
 def normalize(patches: Tensor, stats: NormStats) -> Tensor:
     """Shift and scale each patch by its blended statistics."""
     mean = T.reshape(stats.mean, (*stats.mean.shape, 1))
-    denom = T.sqrt(T.add(T.reshape(stats.var, (*stats.var.shape, 1)), Tensor(stats.eps)))
+    denom = T.sqrt(T.add(T.reshape(stats.var, (*stats.var.shape, 1)), Tensor(EPS)))
     return T.div(T.sub(patches, mean), denom)
 
 
@@ -85,13 +84,13 @@ def denormalize(values: Tensor, stats: NormStats, mode: str) -> Tensor:
                 f"patchwise denormalize: values {values.shape} do not align with stats {stats.mean.shape}"
             )
         mean = T.reshape(stats.mean, (*stats.mean.shape, 1))
-        denom = T.sqrt(T.add(T.reshape(stats.var, (*stats.var.shape, 1)), Tensor(stats.eps)))
+        denom = T.sqrt(T.add(T.reshape(stats.var, (*stats.var.shape, 1)), Tensor(EPS)))
         return T.add(T.mul(values, denom), mean)
     if mode == "instance":
         if values.shape[0] != stats.instance_mean.shape[0]:
             raise ContractError(
                 f"instance denormalize: batch {values.shape[0]} vs stats {stats.instance_mean.shape[0]}"
             )
-        denom = T.sqrt(T.add(stats.instance_var, Tensor(stats.eps)))
+        denom = T.sqrt(T.add(stats.instance_var, Tensor(EPS)))
         return T.add(T.mul(values, denom), stats.instance_mean)
     raise ContractError(f"unknown denormalize mode '{mode}'")

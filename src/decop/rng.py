@@ -24,8 +24,6 @@ so it can be re-implemented in any language:
 * ``normal``: Box-Muller on consecutive uniform pairs, with
   ``u1 = ((word >> 11) + 1) * 2**-53`` in (0, 1]; pair ``(u1, u2)`` yields
   ``sqrt(-2 ln u1) * (cos, sin)(2 pi u2)``.
-* ``randint_below(n)``: ``floor(uniform() * n)``. The modulo-free floor
-  carries a bias below 2^-53 * n, negligible for the index ranges used here.
 * Child streams: ``child(tag)`` reseeds with
   ``splitmix64_mix(seed XOR fnv1a64(tag))`` so distinct purposes never
   share a stream position.
@@ -142,10 +140,6 @@ class Rng:
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
         return z[:n].reshape(shape)
-
-    def randint_below(self, n: int) -> int:
-        """Integer uniform on [0, n)."""
-        return int(self.uniform() * n)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n), swapping from the back.

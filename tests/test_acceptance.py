@@ -19,11 +19,10 @@ from decop.cli import main as cli_main
 from decop.data import (
     DatasetSpec,
     load_csv,
-    patchify,
     patchify_batch,
     sample_windows,
     synthetic_sine,
-    unpatchify,
+    unpatchify_batch,
     write_csv,
 )
 from decop.icm import FilterConfig
@@ -251,13 +250,13 @@ def test_criterion_5_window_locality():
 def test_criterion_6_patch_count_property():
     rng = Rng(413)
     for _ in range(1000):
-        length = 1 + rng.randint_below(700)
-        patch = 1 + rng.randint_below(length)
-        stride = 1 + rng.randint_below(patch)
+        length = 1 + int(rng.uniform() * 700)
+        patch = 1 + int(rng.uniform() * length)
+        stride = 1 + int(rng.uniform() * patch)
         x = rng.normal(length)
-        ps = patchify(x, patch, stride)
-        assert ps.n_patches == (length - patch) // stride + 2
-        assert np.array_equal(unpatchify(ps, length), x)
+        patches = patchify_batch(x[None], patch, stride)
+        assert patches.shape[1] == (length - patch) // stride + 2
+        assert np.array_equal(unpatchify_batch(patches, stride, length)[0], x)
     _report("6", "patch-count formula and exact round-trip over 1000 random (L,P,S) triples")
 
 

@@ -175,7 +175,7 @@ def test_synth_command_writes_loadable_csv(tmp_path):
     from decop.data import DatasetSpec, load_csv
 
     ds = load_csv(out, DatasetSpec("synthetic", out))
-    assert ds.length == 200 and ds.n_channels == 2
+    assert ds.values.shape[0] == 200 and ds.n_channels == 2
 
 
 def test_invalid_config_field_is_named(tmp_path, capsys):
@@ -399,6 +399,17 @@ def test_non_utf8_config_is_one_config_error(tmp_path, capsys):
     bad.write_bytes(b"dataset_name = caf\xe9\n")
     code = main(["pretrain", "--config", str(bad)])
     _assert_one_error_line(code, capsys, "config")
+
+
+def test_config_with_byte_order_mark_loads(workspace, capsys):
+    tmp_path, data = workspace
+    cfg = _config(tmp_path, data, "bom")
+    assert main(["flops", "--config", cfg]) == 0
+    plain = capsys.readouterr().out
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + open(cfg, "rb").read())
+    assert main(["flops", "--config", str(marked)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,11 @@ from decop.data import (
     count_positions,
     load_csv,
     n_patches_for,
-    patchify,
     patchify_batch,
     sample_windows,
     split_columns,
     synthetic_sine,
     synthetic_two_class,
-    unpatchify,
     unpatchify_batch,
     write_csv,
 )
@@ -30,10 +28,10 @@ from decop.rng import Rng
 
 def test_patch_count_for_default_forecast_window():
     # L=512, P=S=12: floor(500/12) + 2 = 43 patches, last start 504 -> pad 4
-    ps = patchify(np.arange(512.0), 12, 12)
-    assert ps.n_patches == 43
-    assert ps.pad_count == 4
-    assert np.array_equal(ps.patches[-1], np.concatenate([np.arange(504.0, 512.0), [511.0] * 4]))
+    patches = patchify_batch(np.arange(512.0)[None], 12, 12)[0]
+    assert patches.shape[0] == 43
+    # the last patch ends in exactly four copies of the window's last value
+    assert np.array_equal(patches[-1], np.concatenate([np.arange(504.0, 512.0), [511.0] * 4]))
 
 
 def test_patch_count_small_window():
@@ -41,26 +39,26 @@ def test_patch_count_small_window():
 
 
 def test_minimal_case_single_stride():
-    ps = patchify(np.arange(5.0), 5, 5)
-    assert ps.n_patches == 2
-    assert ps.pad_count == 5
-    assert np.array_equal(ps.patches[1], np.full(5, 4.0))
+    patches = patchify_batch(np.arange(5.0)[None], 5, 5)[0]
+    assert patches.shape[0] == 2
+    # the last patch is five copies of the window's last value
+    assert np.array_equal(patches[1], np.full(5, 4.0))
 
 
 def test_patch_count_formula_randomized():
     rng = Rng(99)
     for _ in range(300):
-        length = 1 + rng.randint_below(600)
-        patch = 1 + rng.randint_below(length)
-        stride = 1 + rng.randint_below(patch)
-        ps = patchify(np.arange(float(length)), patch, stride)
-        assert ps.n_patches == (length - patch) // stride + 2
-        assert np.array_equal(unpatchify(ps, length), np.arange(float(length)))
+        length = 1 + int(rng.uniform() * 600)
+        patch = 1 + int(rng.uniform() * length)
+        stride = 1 + int(rng.uniform() * patch)
+        patches = patchify_batch(np.arange(float(length))[None], patch, stride)
+        assert patches.shape[1] == (length - patch) // stride + 2
+        assert np.array_equal(unpatchify_batch(patches, stride, length)[0], np.arange(float(length)))
 
 
 def test_patchify_rejects_oversized_patch():
     with pytest.raises(SizeError):
-        patchify(np.arange(4.0), 5, 1)
+        patchify_batch(np.arange(4.0)[None], 5, 1)
 
 
 def test_batch_patchify_matches_single():
@@ -72,7 +70,6 @@ def test_batch_patchify_matches_single():
         padded = np.concatenate([xs[b], [xs[b, -1]] * 2])
         for i in range(16):
             assert np.array_equal(got[b, i], padded[3 * i : 3 * i + 7])
-        assert np.array_equal(patchify(xs[b], 7, 3).patches, got[b])
     assert np.array_equal(unpatchify_batch(got, 3, 50), xs)
 
 
@@ -113,6 +110,14 @@ def test_date_column_ignored_and_label_column_split_out(tmp_path):
     assert ds.labels.tolist() == [i % 2 for i in range(12)]
 
 
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    text = "date,a,b\n" + "\n".join(f"2020-01-{i+1:02d},{i},{2 * i}" for i in range(12))
+    plain = load_csv(_write(tmp_path, text), DatasetSpec("toy", "x"))
+    marked = load_csv(_write(tmp_path, "\ufeff" + text, "bom.csv"), DatasetSpec("toy", "x"))
+    assert marked.n_channels == 2
+    assert np.array_equal(marked.values, plain.values)
+
+
 def test_split_columns_rule():
     assert split_columns(["Date", "a", " label ", "b"]) == ([1, 3], [2])
     # date counts only as the first column
@@ -125,7 +130,7 @@ def test_ett_hourly_protocol_boundaries(tmp_path):
     path = tmp_path / "etth1.csv"
     write_csv(str(path), values)
     ds = load_csv(str(path), DatasetSpec("ETTh1", str(path)))
-    assert ds.length == 17420
+    assert ds.values.shape[0] == 17420
     assert ds.n_channels == 7
     assert ds.boundaries == (12 * 30 * 24, 16 * 30 * 24, 20 * 30 * 24)
 

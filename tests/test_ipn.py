@@ -113,7 +113,6 @@ def test_instance_denormalize_hand_example():
         instance_var=Tensor(np.array([[4.0]])),
         mean=Tensor(np.zeros((1, 1))),
         var=Tensor(np.ones((1, 1))),
-        eps=ipn.EPS,
         clamp_count=0,
     )
     out = ipn.denormalize(Tensor(np.array([[1.0, -1.0]])), stats, "instance")
