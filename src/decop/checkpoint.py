@@ -9,7 +9,8 @@ Layout::
     <payload>                     (parameters concatenated, row-major f32)
 
 Training math is float64; serialization narrows to float32. Loading
-widens back, so save -> load -> save is byte-identical. Structural
+widens back, so save -> load -> save is byte-identical. A header that
+repeats a config key or a parameter name does not load. Structural
 fields must match the loading run's configuration exactly; channel
 count is deliberately not structural (weights are channel independent).
 
@@ -106,11 +107,15 @@ def _parse_header(blob: bytes, path: str):
         kind, _, rest = line.partition(" ")
         if kind == "config" and "=" in rest:
             key, value = rest.split("=", 1)
+            if key in config:
+                raise CheckpointError(f"{path}: header repeats config key {key!r}")
             config[key] = value
         elif kind == "param" and rest.count(" ") >= 2:
             name, dtype, shape_text = rest.rsplit(" ", 2)
             if dtype != "f32":
                 raise CheckpointError(f"{path}: unsupported dtype {dtype} for {name}")
+            if any(name == seen for seen, _ in manifest):
+                raise CheckpointError(f"{path}: header lists parameter {name} twice")
             manifest.append((name, _parse_shape(shape_text, name, path)))
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")

@@ -152,7 +152,7 @@ def cmd_filter_viz(cfg: RunConfig, channel: int, out_path: str | None) -> int:
 
     normalized, _ = normalize_windows(_build_model(cfg), window)
     anchor = unpatchify_batch(normalized.data, cfg.stride, cfg.lookback)
-    denoised = icm.generate_positive_views(anchor, icm.FilterConfig(cfg.keep_fraction, cfg.lookback))
+    denoised = icm.generate_positive_views(anchor, cfg.keep_fraction)
     noise = anchor - denoised
 
     rows = [[t, anchor[0, t], denoised[0, t], noise[0, t]] for t in range(cfg.lookback)]

@@ -1,9 +1,10 @@
 """Flat key=value run configuration.
 
 Files hold one ``key = value`` pair per line; ``#`` starts a comment and
-blank lines are skipped. Environment variables are never consulted. The
-resolved configuration (defaults filled in) is echoed to a file next to
-the run outputs so every consumed setting is on record.
+blank lines are skipped; a key given twice is an error. Environment
+variables are never consulted. The resolved configuration (defaults
+filled in) is echoed to a file next to the run outputs so every consumed
+setting is on record.
 """
 
 from __future__ import annotations
@@ -118,6 +119,7 @@ def _parse_value(key: str, raw: str):
 
 def parse_config_text(text: str) -> RunConfig:
     values = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -127,6 +129,9 @@ def parse_config_text(text: str) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown field '{key}'")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: field '{key}' already given on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = _parse_value(key, raw)
     return RunConfig(**values).validate()
 

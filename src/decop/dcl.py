@@ -7,11 +7,15 @@ window into one vector, transforms it with a shared learner (affine, or
 a two-layer GELU MLP), unfolds back, and adds a dropout residual of its
 input. Window sizes grow across blocks, so locality widens gradually
 until the last block can span the whole patch axis.
+
+``init_block`` reads ``model_dim``, ``learner`` and ``hidden_mult`` from
+``ModelDims``; the forward functions take the plain dropout probability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,16 +23,8 @@ from . import tensor as T
 from .rng import Rng
 from .tensor import Tensor
 
-
-@dataclass
-class DclConfig:
-    """Encoder settings; RunConfig.validate checks every value."""
-
-    model_dim: int
-    windows: tuple[int, ...]
-    learner: str = "linear"
-    dropout: float = 0.1
-    hidden_mult: int = 1
+if TYPE_CHECKING:
+    from .model import ModelDims
 
 
 @dataclass
@@ -44,15 +40,15 @@ def _uniform_init(rng: Rng, shape, fan_in: int) -> np.ndarray:
     return rng.uniform_range(-bound, bound, shape)
 
 
-def init_block(cfg: DclConfig, window: int, rng: Rng) -> DclBlock:
+def init_block(dims: ModelDims, window: int, rng: Rng) -> DclBlock:
     """Fresh learner parameters, uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-    width = window * cfg.model_dim
+    width = window * dims.model_dim
     block = DclBlock(window)
-    if cfg.learner == "linear":
+    if dims.learner == "linear":
         block.params["w"] = Tensor(_uniform_init(rng, (width, width), width), requires_grad=True)
         block.params["b"] = Tensor(_uniform_init(rng, (width,), width), requires_grad=True)
     else:
-        hidden = cfg.hidden_mult * width
+        hidden = dims.hidden_mult * width
         block.params["w1"] = Tensor(_uniform_init(rng, (width, hidden), width), requires_grad=True)
         block.params["b1"] = Tensor(_uniform_init(rng, (hidden,), width), requires_grad=True)
         block.params["w2"] = Tensor(_uniform_init(rng, (hidden, width), hidden), requires_grad=True)
@@ -60,25 +56,26 @@ def init_block(cfg: DclConfig, window: int, rng: Rng) -> DclBlock:
     return block
 
 
-def apply_learner(flat: Tensor, block: DclBlock, cfg: DclConfig) -> Tensor:
-    if cfg.learner == "linear":
+def apply_learner(flat: Tensor, block: DclBlock) -> Tensor:
+    """The block's affine if it holds ``w``, else its two-layer GELU MLP."""
+    if "w" in block.params:
         return T.affine(flat, block.params["w"], block.params["b"])
     hidden = T.gelu(T.affine(flat, block.params["w1"], block.params["b1"]))
     return T.affine(hidden, block.params["w2"], block.params["b2"])
 
 
 def block_forward(
-    z: Tensor, block: DclBlock, cfg: DclConfig, train: bool, rng: Rng | None
+    z: Tensor, block: DclBlock, dropout: float, train: bool, rng: Rng | None
 ) -> tuple[Tensor, Tensor]:
     """One encoder block; returns (residual output, pre-residual output)."""
     b, n, d = z.shape
     flat = T.window_partition(z, block.window)
-    mixed = T.window_merge(apply_learner(flat, block, cfg), b, n, d)
-    return T.dropout_add(mixed, z, cfg.dropout, rng, train), mixed
+    mixed = T.window_merge(apply_learner(flat, block), b, n, d)
+    return T.dropout_add(mixed, z, dropout, rng, train), mixed
 
 
 def encoder_forward(
-    z: Tensor, blocks: list[DclBlock], cfg: DclConfig, train: bool, rng: Rng | None
+    z: Tensor, blocks: list[DclBlock], dropout: float, train: bool, rng: Rng | None
 ) -> tuple[Tensor, Tensor]:
     """Run all blocks; returns (final output, last block's pre-residual).
 
@@ -87,5 +84,5 @@ def encoder_forward(
     """
     # no earlier block's pre-residual stays bound while a later block runs
     for block in blocks[:-1]:
-        z = block_forward(z, block, cfg, train, rng)[0]
-    return block_forward(z, blocks[-1], cfg, train, rng)
+        z = block_forward(z, block, dropout, train, rng)[0]
+    return block_forward(z, blocks[-1], dropout, train, rng)

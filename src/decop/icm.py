@@ -4,7 +4,9 @@ View generation: take the one-sided spectrum of each normalized window,
 keep the globally salient bins (largest batch-mean amplitude), then drop
 each instance's low-amplitude bins unless globally protected. Inverting
 the masked spectrum yields a denoised twin of the window. This runs on
-plain arrays, outside the gradient graph: the views are data.
+plain arrays, outside the gradient graph: the views are data. A spectrum
+is the bare complex (B, L//2 + 1) array, so synthesis takes L as an
+argument; the mask reads only ``keep_fraction`` and the spectrum's width.
 
 The alignment loss compares the two encodings of a pair: average over the
 patch axis, L2-normalize, and penalize 1 minus the mean cosine. There are
@@ -12,8 +14,6 @@ no negative pairs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,101 +25,66 @@ from .tensor import Tensor
 ZERO_NORM = 1e-12
 
 
-@dataclass
-class FilterConfig:
-    """Retention fraction and the bin budgets it induces for one window length.
-
-    RunConfig.validate checks both values (``keep_fraction`` in (0, 1],
-    ``lookback`` >= 2).
-    """
-
-    keep_fraction: float
-    length: int
-
-    @property
-    def half(self) -> int:
-        """Number of maskable bins: indices [0, L // 2)."""
-        return self.length // 2
-
-    @property
-    def n_keep(self) -> int:
-        return int(self.keep_fraction * self.half)
-
-    @property
-    def n_drop(self) -> int:
-        return int((1.0 - self.keep_fraction) * self.half)
-
-
-@dataclass
-class Spectrum:
-    """One-sided DFT coefficients per window: (B, L//2 + 1) complex."""
-
-    coeffs: np.ndarray
-    length: int
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return np.abs(self.coeffs)
-
-
-def dft_forward(windows: np.ndarray) -> Spectrum:
-    """One-sided DFT of each row: X[k] = sum_t x[t] exp(-2 pi i k t / L)."""
+def dft_forward(windows: np.ndarray) -> np.ndarray:
+    """One-sided DFT of each row, (B, L//2 + 1) complex: X[k] = sum_t x[t] exp(-2 pi i k t / L)."""
     windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     length = windows.shape[1]
     if length < 2:
         raise ContractError(f"dft needs window length >= 2, got {length}")
-    return Spectrum(np.fft.rfft(windows, axis=1), length)
+    return np.fft.rfft(windows, axis=1)
 
 
-def dft_inverse(spec: Spectrum) -> np.ndarray:
-    """Real signal from a one-sided spectrum, assuming conjugate symmetry.
+def dft_inverse(coeffs: np.ndarray, length: int) -> np.ndarray:
+    """Real length-``length`` signal from a one-sided spectrum, assuming conjugate symmetry.
 
     The imaginary parts of the DC and (even L) Nyquist bins are ignored.
     """
-    return np.fft.irfft(spec.coeffs, n=spec.length, axis=1)
+    return np.fft.irfft(coeffs, n=length, axis=1)
 
 
-def build_fmask(spec: Spectrum, cfg: FilterConfig) -> np.ndarray:
+def build_fmask(coeffs: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Binary keep-mask over bins [0, L//2) per window.
 
-    Global pass: the ``n_keep`` bins with the largest batch-mean amplitude
-    are protected everywhere. Instance pass: each window's ``n_drop``
-    smallest-amplitude bins are dropped unless protected. Ties resolve
-    toward the lower bin index. Bin L//2 (present in the one-sided
-    spectrum; the Nyquist bin for even L) is outside the maskable range
-    and always survives.
+    Of the ``half = L // 2`` maskable bins, the global pass protects the
+    ``int(keep_fraction * half)`` with the largest batch-mean amplitude
+    everywhere. The instance pass drops each window's
+    ``int((1 - keep_fraction) * half)`` smallest-amplitude bins unless
+    protected. Ties resolve toward the lower bin index. Bin L//2 (present
+    in the one-sided spectrum; the Nyquist bin for even L) is outside the
+    maskable range and always survives.
     """
-    if cfg.length != spec.length:
-        raise ContractError(f"filter config is for length {cfg.length}, spectrum has {spec.length}")
-    if cfg.n_keep == 0 and cfg.n_drop == cfg.half:
+    half = coeffs.shape[1] - 1
+    n_keep = int(keep_fraction * half)
+    n_drop = int((1.0 - keep_fraction) * half)
+    if n_keep == 0 and n_drop == half:
         raise ConfigError("filter would drop every bin; increase the keep fraction")
-    amps = spec.amplitude[:, : cfg.half]
+    amps = np.abs(coeffs[:, :half])
     batch_mean = amps.mean(axis=0)
-    protected = np.zeros(cfg.half, dtype=bool)
-    if cfg.n_keep:
+    protected = np.zeros(half, dtype=bool)
+    if n_keep:
         order = np.argsort(-batch_mean, kind="stable")
-        protected[order[: cfg.n_keep]] = True
+        protected[order[:n_keep]] = True
     mask = np.ones(amps.shape, dtype=np.float64)
-    if cfg.n_drop:
-        low = np.argsort(amps, axis=1, kind="stable")[:, : cfg.n_drop]
-        rows = np.repeat(np.arange(amps.shape[0]), cfg.n_drop)
+    if n_drop:
+        low = np.argsort(amps, axis=1, kind="stable")[:, :n_drop]
+        rows = np.repeat(np.arange(amps.shape[0]), n_drop)
         cols = low.reshape(-1)
         droppable = ~protected[cols]
         mask[rows[droppable], cols[droppable]] = 0.0
     return mask
 
 
-def apply_and_invert(spec: Spectrum, mask: np.ndarray) -> np.ndarray:
-    """Zero the masked bins and synthesize the denoised windows."""
-    coeffs = spec.coeffs.copy()
+def apply_and_invert(coeffs: np.ndarray, mask: np.ndarray, length: int) -> np.ndarray:
+    """Zero the masked bins and synthesize the denoised length-``length`` windows."""
+    coeffs = coeffs.copy()
     coeffs[:, : mask.shape[1]] *= mask
-    return dft_inverse(Spectrum(coeffs, spec.length))
+    return dft_inverse(coeffs, length)
 
 
-def generate_positive_views(windows: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """Denoised twin for each normalized window in the batch."""
-    spec = dft_forward(windows)
-    return apply_and_invert(spec, build_fmask(spec, cfg))
+def generate_positive_views(windows: np.ndarray, keep_fraction: float) -> np.ndarray:
+    """Denoised twin for each normalized (B, L) window in the batch."""
+    coeffs = dft_forward(windows)
+    return apply_and_invert(coeffs, build_fmask(coeffs, keep_fraction), np.shape(windows)[-1])
 
 
 class ContrastiveDiagnostics:

@@ -15,7 +15,7 @@ import numpy as np
 from . import dcl, ipn
 from . import tensor as T
 from .data import n_patches_for, patchify_batch
-from .dcl import DclConfig, _uniform_init
+from .dcl import _uniform_init
 from .rng import Rng
 from .tensor import Tensor
 
@@ -38,25 +38,19 @@ class ModelDims:
 
 
 class ModelState:
-    """Named parameters plus the encoder configuration."""
+    """Named parameters plus the encoder's dims and dropout probability."""
 
     def __init__(self, dims: ModelDims, dropout: float, blend_init: float, rng: Rng):
         self.dims = dims
-        self.cfg = DclConfig(
-            model_dim=dims.model_dim,
-            windows=dims.windows,
-            learner=dims.learner,
-            dropout=dropout,
-            hidden_mult=dims.hidden_mult,
-        )
-        d, p, n = dims.model_dim, dims.patch_size, self.dims.n_patches
+        self.dropout = dropout
+        d, p, n = dims.model_dim, dims.patch_size, dims.n_patches
         init = rng.child("init")
         self.proj_w = Tensor(_uniform_init(init, (p, d), p), requires_grad=True)
         self.proj_b = Tensor(_uniform_init(init, (d,), p), requires_grad=True)
         self.pos = Tensor(init.uniform_range(-0.02, 0.02, (n, d)), requires_grad=True)
         self.mask_token = Tensor(init.uniform_range(-0.02, 0.02, (d,)), requires_grad=True)
         self.blend = Tensor(np.asarray(blend_init), requires_grad=True)
-        self.blocks = [dcl.init_block(self.cfg, w, init) for w in dims.windows]
+        self.blocks = [dcl.init_block(dims, w, init) for w in dims.windows]
         self.recon_w = Tensor(_uniform_init(init, (d, p), d), requires_grad=True)
         self.recon_b = Tensor(_uniform_init(init, (p,), d), requires_grad=True)
         self.heads: dict[str, Tensor] = {}
@@ -144,7 +138,7 @@ def encode_patches(
             T.reshape(T.affine(flat, model.proj_w, model.proj_b), (b, n, d)), model.pos, mask, fill
         ),
         model.blocks,
-        model.cfg,
+        model.dropout,
         train,
         rng,
     )

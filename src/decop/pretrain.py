@@ -19,7 +19,7 @@ from . import tensor as T
 from .config import RunConfig
 from .data import Dataset, batches, patchify_batch, sample_windows, unpatchify_batch
 from .errors import ConfigError, ContractError
-from .icm import ContrastiveDiagnostics, FilterConfig
+from .icm import ContrastiveDiagnostics
 from .model import ModelState, encode_patches, normalize_windows
 from .optim import Adam, train_epoch
 from .rng import Rng
@@ -109,7 +109,7 @@ def pretrain_batch(
 
     if views is None:
         series = unpatchify_batch(anchor_patches.data, dims.stride, dims.lookback)
-        views = icm.generate_positive_views(series, FilterConfig(cfg.keep_fraction, dims.lookback))
+        views = icm.generate_positive_views(series, cfg.keep_fraction)
     pair_patches = Tensor(patchify_batch(views, dims.patch_size, dims.stride))
 
     if masks is None:

@@ -25,7 +25,6 @@ from decop.data import (
     unpatchify_batch,
     write_csv,
 )
-from decop.icm import FilterConfig
 from decop.model import ModelDims, ModelState
 from decop.pretrain import PretrainConfig, pretrain_batch, random_masks
 from decop.rng import Rng
@@ -56,7 +55,7 @@ def _composed_loss_gradients(learner: str):
     patches, _ = normalize_windows(model, windows)
 
     series = unpatchify_batch(patches.data, dims.stride, dims.lookback)
-    views = icm.generate_positive_views(series, FilterConfig(cfg.keep_fraction, dims.lookback))
+    views = icm.generate_positive_views(series, cfg.keep_fraction)
 
     def loss_value():
         # fresh stream per call: dropout masks repeat exactly
@@ -147,20 +146,20 @@ def test_criterion_3_dft_oracle_suite():
         x = rng.normal((3, length))
         spec = icm.dft_forward(x)
         # against the independent per-bin oracle
-        assert np.abs(spec.coeffs - naive_dft(x)).max() < 1e-8
+        assert np.abs(spec - naive_dft(x)).max() < 1e-8
         # round trip
-        assert np.abs(icm.dft_inverse(spec) - x).max() < 1e-8
+        assert np.abs(icm.dft_inverse(spec, length) - x).max() < 1e-8
         # Parseval
         weights = np.full(length // 2 + 1, 2.0)
         weights[0] = 1.0
         if length % 2 == 0:
             weights[-1] = 1.0
-        freq = (weights * np.abs(spec.coeffs[0]) ** 2).sum() / length
+        freq = (weights * np.abs(spec[0]) ** 2).sum() / length
         time_energy = (x[0] ** 2).sum()
         assert abs(freq - time_energy) / time_energy < 1e-6
         # all-ones mask is the identity filter
         mask = np.ones((3, length // 2))
-        assert np.abs(icm.apply_and_invert(spec, mask) - x).max() < 1e-8
+        assert np.abs(icm.apply_and_invert(spec, mask, length) - x).max() < 1e-8
     _report("3", "oracle agreement, round-trip, Parseval, identity mask at L in {16,100,511,512}")
 
 
@@ -179,7 +178,7 @@ def test_criterion_4_filter_noise_property():
             for _ in range(count)
         ]
     )
-    denoised = icm.generate_positive_views(anchors, FilterConfig(0.3, length))
+    denoised = icm.generate_positive_views(anchors, 0.3)
     removed = anchors - denoised
     ok = np.abs(removed.mean(axis=1)) < 0.05 * anchors.std(axis=1)
     assert ok.sum() >= 95, f"only {ok.sum()}/100 instances have near-zero-mean noise"
@@ -191,8 +190,8 @@ def test_criterion_4_filter_noise_property():
 
 
 def _block_sensitivity(window: int, n: int, d: int = 3, learner: str = "linear") -> np.ndarray:
-    cfg = dcl.DclConfig(model_dim=d, windows=(window,), learner=learner, dropout=0.0)
-    block = dcl.init_block(cfg, window, Rng(500 + window))
+    dims = ModelDims(lookback=1, patch_size=1, stride=1, model_dim=d, windows=(window,), learner=learner)
+    block = dcl.init_block(dims, window, Rng(500 + window))
     base = Rng(501).normal((1, n, d))
     h = 1e-6
     sens = np.zeros((n, n))
@@ -201,8 +200,8 @@ def _block_sensitivity(window: int, n: int, d: int = 3, learner: str = "linear")
             up, down = base.copy(), base.copy()
             up[0, j, e] += h
             down[0, j, e] -= h
-            out_up = dcl.block_forward(Tensor(up), block, cfg, False, None)[0].data[0]
-            out_down = dcl.block_forward(Tensor(down), block, cfg, False, None)[0].data[0]
+            out_up = dcl.block_forward(Tensor(up), block, 0.0, False, None)[0].data[0]
+            out_down = dcl.block_forward(Tensor(down), block, 0.0, False, None)[0].data[0]
             sens[:, j] += np.abs((out_up - out_down) / (2 * h)).sum(axis=1)
     return sens
 
@@ -217,8 +216,8 @@ def test_criterion_5_window_locality():
                     assert sens[i, j] < 1e-10, (window, i, j)
 
     # two-block composition reaches strictly more than either block alone
-    cfg = dcl.DclConfig(model_dim=3, windows=(2, 5), learner="linear", dropout=0.0)
-    blocks = [dcl.init_block(cfg, w, Rng(510 + w)) for w in (2, 5)]
+    dims = ModelDims(lookback=1, patch_size=1, stride=1, model_dim=3, windows=(2, 5), learner="linear")
+    blocks = [dcl.init_block(dims, w, Rng(510 + w)) for w in (2, 5)]
     base = Rng(511).normal((1, n, 3))
     h = 1e-6
 
@@ -233,9 +232,9 @@ def test_criterion_5_window_locality():
                 got[:, j] |= diff > 1e-10
         return got
 
-    composed = reach(lambda x: dcl.encoder_forward(Tensor(x), blocks, cfg, False, None)[0].data[0])
+    composed = reach(lambda x: dcl.encoder_forward(Tensor(x), blocks, 0.0, False, None)[0].data[0])
     alone = [
-        reach(lambda x, b=b: dcl.block_forward(Tensor(x), b, cfg, False, None)[0].data[0])
+        reach(lambda x, b=b: dcl.block_forward(Tensor(x), b, 0.0, False, None)[0].data[0])
         for b in blocks
     ]
     assert composed.sum() > alone[0].sum() and composed.sum() > alone[1].sum()

@@ -162,6 +162,36 @@ def test_single_byte_header_mutations_load_or_raise_checkpoint_error(tmp_path):
     assert rejected > 0
 
 
+def _with_extra_header_line(path, line, payload=b""):
+    """Rewrite the file with ``line`` added before END-HEADER and ``payload`` appended."""
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob.replace(b"END-HEADER\n", line + b"\nEND-HEADER\n", 1) + payload)
+
+
+def _assert_load_rejected_unchanged(path, match):
+    target = _model(seed=9)
+    before = target.snapshot()
+    with pytest.raises(CheckpointError, match=match):
+        checkpoint.load(path, target)
+    for name, values in target.snapshot().items():
+        assert np.array_equal(values, before[name]), name
+
+
+def test_header_listing_a_parameter_twice_is_rejected(tmp_path):
+    path = str(tmp_path / "m.decop")
+    checkpoint.save(path, _model())
+    _with_extra_header_line(path, b"param blend f32 scalar", np.array([7.0], dtype="<f4").tobytes())
+    _assert_load_rejected_unchanged(path, "parameter blend twice")
+
+
+def test_header_repeating_a_config_key_is_rejected(tmp_path):
+    path = str(tmp_path / "m.decop")
+    checkpoint.save(path, _model())
+    # the same value again: a repeat is an error even when it agrees
+    _with_extra_header_line(path, b"config lookback=32")
+    _assert_load_rejected_unchanged(path, "config key 'lookback'")
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -177,6 +207,11 @@ def test_config_defaults_and_overrides():
 def test_unknown_field_is_named():
     with pytest.raises(ConfigError, match="turbo"):
         parse_config_text("turbo = 9\n")
+
+
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: field 'epochs' already given on line 1"):
+        parse_config_text("epochs = 3\n# later\nepochs = 5\n")
 
 
 def test_bad_value_is_named():

@@ -5,20 +5,20 @@ import pytest
 
 from decop import dcl
 from decop import tensor as T
-from decop.dcl import DclBlock, DclConfig
 from decop.model import ModelDims, ModelState, encode_patches
 from decop.rng import Rng
 from decop.tensor import Tape, Tensor
 
 
-def _cfg(**kw):
-    base = dict(model_dim=4, windows=(2,), learner="linear", dropout=0.0, hidden_mult=1)
+def _dims(**kw):
+    """Encoder dims; the patching fields are placeholders the blocks never read."""
+    base = dict(lookback=1, patch_size=1, stride=1, model_dim=4, windows=(2,), learner="linear")
     base.update(kw)
-    return DclConfig(**base)
+    return ModelDims(**base)
 
 
-def _zero_block(cfg, window):
-    block = dcl.init_block(cfg, window, Rng(0))
+def _zero_block(dims, window):
+    block = dcl.init_block(dims, window, Rng(0))
     for p in block.params.values():
         p.data[...] = 0.0
     return block
@@ -100,21 +100,21 @@ def test_merge_inverts_partition():
 
 
 def test_zero_learner_block_is_pure_residual():
-    cfg = _cfg(windows=(2,))
-    block = _zero_block(cfg, 2)
+    dims = _dims(windows=(2,))
+    block = _zero_block(dims, 2)
     z = Tensor(Rng(6).normal((2, 5, 4)))
-    out, pre = dcl.block_forward(z, block, cfg, train=False, rng=None)
+    out, pre = dcl.block_forward(z, block, 0.0, train=False, rng=None)
     assert np.array_equal(out.data, z.data)
     assert np.array_equal(pre.data, np.zeros_like(z.data))
 
 
-def _sensitivity(block, cfg, n=8, d=3, h=1e-6):
+def _sensitivity(block, n=8, d=3, h=1e-6):
     """Finite-difference sensitivity matrix between output and input patches."""
     rng = Rng(7)
     base = rng.normal((1, n, d))
 
     def forward(x):
-        out, _ = dcl.block_forward(Tensor(x), block, cfg, train=False, rng=None)
+        out, _ = dcl.block_forward(Tensor(x), block, 0.0, train=False, rng=None)
         return out.data[0]
 
     sens = np.zeros((n, n))
@@ -130,9 +130,9 @@ def _sensitivity(block, cfg, n=8, d=3, h=1e-6):
 
 @pytest.mark.parametrize("window", [1, 2, 5, 8])
 def test_single_block_locality_is_window_diagonal(window):
-    cfg = _cfg(model_dim=3, windows=(window,), learner="linear")
-    block = dcl.init_block(cfg, window, Rng(8))
-    sens = _sensitivity(block, cfg, n=8, d=3)
+    dims = _dims(model_dim=3, windows=(window,), learner="linear")
+    block = dcl.init_block(dims, window, Rng(8))
+    sens = _sensitivity(block, n=8, d=3)
     for i in range(8):
         for j in range(8):
             same_window = i // window == j // window
@@ -143,15 +143,15 @@ def test_single_block_locality_is_window_diagonal(window):
 
 
 def test_global_window_mlp_touches_every_patch():
-    cfg = _cfg(model_dim=3, windows=(8,), learner="mlp")
-    block = dcl.init_block(cfg, 8, Rng(9))
-    sens = _sensitivity(block, cfg, n=8, d=3)
+    dims = _dims(model_dim=3, windows=(8,), learner="mlp")
+    block = dcl.init_block(dims, 8, Rng(9))
+    sens = _sensitivity(block, n=8, d=3)
     assert (sens > 1e-8).all()
 
 
 def test_two_block_composition_reaches_more_than_either_alone():
-    cfg = _cfg(model_dim=3, windows=(2, 5), learner="linear")
-    blocks = [dcl.init_block(cfg, w, Rng(10 + w)) for w in (2, 5)]
+    dims = _dims(model_dim=3, windows=(2, 5), learner="linear")
+    blocks = [dcl.init_block(dims, w, Rng(10 + w)) for w in (2, 5)]
     n, d, h = 8, 3, 1e-6
     base = Rng(11).normal((1, n, d))
 
@@ -167,10 +167,10 @@ def test_two_block_composition_reaches_more_than_either_alone():
         return sens > 1e-10
 
     def single(block):
-        return lambda x: dcl.block_forward(Tensor(x), block, cfg, False, None)[0].data[0]
+        return lambda x: dcl.block_forward(Tensor(x), block, 0.0, False, None)[0].data[0]
 
     def composed(x):
-        out, _ = dcl.encoder_forward(Tensor(x), blocks, cfg, False, None)
+        out, _ = dcl.encoder_forward(Tensor(x), blocks, 0.0, False, None)
         return out.data[0]
 
     r2, r5, rc = reach(single(blocks[0])), reach(single(blocks[1])), reach(composed)
@@ -227,12 +227,12 @@ def _block_reference(z, params, learner, window, drop_mask, g_out):
 def test_block_matches_unfused_reference_bit_for_bit(learner, n):
     # window 3: N = 6 fills two windows exactly, N = 7 pads two patches
     p = 0.3
-    cfg = _cfg(model_dim=4, windows=(3,), learner=learner, dropout=p)
-    block = dcl.init_block(cfg, 3, Rng(21))
+    dims = _dims(model_dim=4, windows=(3,), learner=learner)
+    block = dcl.init_block(dims, 3, Rng(21))
     z = Tensor(Rng(22).normal((5, n, 4)), requires_grad=True)
     g_out = Rng(23).normal((5, n, 4))
     with Tape() as tape:
-        out, _ = dcl.block_forward(z, block, cfg, train=True, rng=Rng(24))
+        out, _ = dcl.block_forward(z, block, p, train=True, rng=Rng(24))
         loss = T.sum_all(T.mul(out, Tensor(g_out)))
     tape.backward(loss)
 
@@ -246,31 +246,31 @@ def test_block_matches_unfused_reference_bit_for_bit(learner, n):
 
 
 def test_encoder_single_zero_block_is_identity():
-    cfg = _cfg(windows=(3,))
-    blocks = [_zero_block(cfg, 3)]
+    dims = _dims(windows=(3,))
+    blocks = [_zero_block(dims, 3)]
     z = Tensor(Rng(12).normal((2, 6, 4)))
-    out, pre = dcl.encoder_forward(z, blocks, cfg, train=False, rng=None)
+    out, pre = dcl.encoder_forward(z, blocks, 0.0, train=False, rng=None)
     assert np.array_equal(out.data, z.data)
     assert np.array_equal(pre.data, np.zeros_like(z.data))
 
 
 def test_encoder_is_deterministic_under_seed():
-    cfg = _cfg(windows=(2, 4), dropout=0.2)
+    dims = _dims(windows=(2, 4))
 
     def run():
-        blocks = [dcl.init_block(cfg, w, Rng(13)) for w in (2, 4)]
+        blocks = [dcl.init_block(dims, w, Rng(13)) for w in (2, 4)]
         z = Tensor(Rng(14).normal((2, 6, 4)))
-        out, _ = dcl.encoder_forward(z, blocks, cfg, train=True, rng=Rng(15))
+        out, _ = dcl.encoder_forward(z, blocks, 0.2, train=True, rng=Rng(15))
         return out.data
 
     assert np.array_equal(run(), run())
 
 
 def test_residual_is_small_at_documented_init_scale():
-    cfg = _cfg(model_dim=16, windows=(4,), learner="linear")
-    block = dcl.init_block(cfg, 4, Rng(16))
+    dims = _dims(model_dim=16, windows=(4,), learner="linear")
+    block = dcl.init_block(dims, 4, Rng(16))
     z = Tensor(Rng(17).normal((4, 12, 16)))
-    out, _ = dcl.block_forward(z, block, cfg, train=False, rng=None)
+    out, _ = dcl.block_forward(z, block, 0.0, train=False, rng=None)
     drift = np.linalg.norm(out.data - z.data) / np.linalg.norm(z.data)
     assert drift < 1.0
 
@@ -280,23 +280,23 @@ def test_residual_is_small_at_documented_init_scale():
 
 
 def test_linear_block_parameter_formula():
-    cfg = _cfg(model_dim=6, windows=(3,), learner="linear")
-    block = dcl.init_block(cfg, 3, Rng(18))
+    dims = _dims(model_dim=6, windows=(3,), learner="linear")
+    block = dcl.init_block(dims, 3, Rng(18))
     actual = sum(p.size for p in block.params.values())
     width = 3 * 6
     assert actual == width * width + width
 
 
 def test_mlp_block_parameter_formula():
-    cfg = _cfg(model_dim=4, windows=(2,), learner="mlp", hidden_mult=2)
-    block = dcl.init_block(cfg, 2, Rng(19))
+    dims = _dims(model_dim=4, windows=(2,), learner="mlp", hidden_mult=2)
+    block = dcl.init_block(dims, 2, Rng(19))
     actual = sum(p.size for p in block.params.values())
     width, hidden = 8, 16
     assert actual == width * hidden + hidden + hidden * width + width
 
 
 def test_init_weights_respect_fan_in_bound():
-    cfg = _cfg(model_dim=8, windows=(4,), learner="linear")
-    block = dcl.init_block(cfg, 4, Rng(20))
+    dims = _dims(model_dim=8, windows=(4,), learner="linear")
+    block = dcl.init_block(dims, 4, Rng(20))
     bound = 1.0 / np.sqrt(32)
     assert np.abs(block.params["w"].data).max() <= bound

@@ -7,7 +7,7 @@ from conftest import naive_dft, naive_idft
 from decop import icm
 from decop import tensor as T
 from decop.errors import ContractError
-from decop.icm import ContrastiveDiagnostics, FilterConfig, Spectrum
+from decop.icm import ContrastiveDiagnostics
 from decop.rng import Rng
 from decop.tensor import Tape, Tensor
 
@@ -19,15 +19,14 @@ from decop.tensor import Tape, Tensor
 def test_impulse_has_flat_unit_spectrum():
     x = np.zeros((1, 32))
     x[0, 0] = 1.0
-    spec = icm.dft_forward(x)
-    assert np.allclose(spec.amplitude, 1.0, atol=1e-12)
+    assert np.allclose(np.abs(icm.dft_forward(x)), 1.0, atol=1e-12)
 
 
 def test_pure_cosine_concentrates_at_its_bin():
     length = 64
     t = np.arange(length)
     x = np.cos(2 * np.pi * t * 4 / length)[None, :]
-    amp = icm.dft_forward(x).amplitude[0]
+    amp = np.abs(icm.dft_forward(x))[0]
     assert np.isclose(amp[4], length / 2, atol=1e-9)
     others = np.delete(amp, 4)
     assert others.max() < 1e-9
@@ -46,14 +45,13 @@ def test_scalar_oracle_agreement_small_length():
 @pytest.mark.parametrize("length", [2, 3, 16, 100, 511, 512])
 def test_forward_matches_naive_oracle(length):
     x = Rng(31).normal((3, length))
-    assert np.abs(icm.dft_forward(x).coeffs - naive_dft(x)).max() < 1e-8
+    assert np.abs(icm.dft_forward(x) - naive_dft(x)).max() < 1e-8
 
 
 @pytest.mark.parametrize("length", [2, 3, 16, 100, 511, 512])
 def test_round_trip_recovers_signal(length):
     x = Rng(32).normal((2, length))
-    spec = icm.dft_forward(x)
-    assert np.abs(icm.dft_inverse(spec) - x).max() < 1e-8
+    assert np.abs(icm.dft_inverse(icm.dft_forward(x), length) - x).max() < 1e-8
 
 
 @pytest.mark.parametrize("length", [20, 21])  # odd L has no Nyquist bin
@@ -62,8 +60,8 @@ def test_inverse_matches_naive_synthesis_oracle(length):
     spec = icm.dft_forward(x)
     mask = np.ones(length // 2)
     mask[[3, 7]] = 0.0
-    ours = icm.apply_and_invert(spec, mask[None, :])
-    coeffs = spec.coeffs.copy()
+    ours = icm.apply_and_invert(spec, mask[None, :], length)
+    coeffs = spec.copy()
     coeffs[0, : length // 2] *= mask
     assert np.abs(ours - naive_idft(coeffs, length)).max() < 1e-8
 
@@ -71,15 +69,15 @@ def test_inverse_matches_naive_synthesis_oracle(length):
 def test_linearity():
     rng = Rng(34)
     x, y = rng.normal((1, 48)), rng.normal((1, 48))
-    lhs = icm.dft_forward(2.5 * x - 1.25 * y).coeffs
-    rhs = 2.5 * icm.dft_forward(x).coeffs - 1.25 * icm.dft_forward(y).coeffs
+    lhs = icm.dft_forward(2.5 * x - 1.25 * y)
+    rhs = 2.5 * icm.dft_forward(x) - 1.25 * icm.dft_forward(y)
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
 @pytest.mark.parametrize("length", [16, 100, 511, 512])
 def test_parseval(length):
     x = Rng(35).normal((1, length))[0]
-    coeffs = icm.dft_forward(x).coeffs[0]
+    coeffs = icm.dft_forward(x)[0]
     weights = np.full(len(coeffs), 2.0)
     weights[0] = 1.0
     if length % 2 == 0:
@@ -95,19 +93,27 @@ def test_parseval(length):
 
 def test_full_retention_is_identity_filter():
     x = Rng(36).normal((4, 64))
-    cfg = FilterConfig(1.0, 64)
-    assert cfg.n_keep == 32 and cfg.n_drop == 0
     spec = icm.dft_forward(x)
-    mask = icm.build_fmask(spec, cfg)
+    mask = icm.build_fmask(spec, 1.0)
     assert np.array_equal(mask, np.ones((4, 32)))
-    assert np.abs(icm.apply_and_invert(spec, mask) - x).max() < 1e-8
+    assert np.abs(icm.apply_and_invert(spec, mask, 64) - x).max() < 1e-8
 
 
 def test_default_retention_budget_for_long_windows():
-    cfg = FilterConfig(0.3, 512)
-    assert cfg.half == 256
-    assert cfg.n_keep == 76
-    assert cfg.n_drop == 179
+    # L=512 has 256 maskable bins: keep 0.3 protects int(0.3*256) = 76 and
+    # drops int(0.7*256) = 179 per window
+    row = Rng(40).normal(512)
+    mask = icm.build_fmask(icm.dft_forward(np.stack([row, row])), 0.3)
+    assert mask.shape == (2, 256)
+    # identical rows: the batch mean is each row, so no dropped bin is protected
+    assert (mask == 0.0).sum(axis=1).tolist() == [179, 179]
+
+    # row 1 dominates the batch mean and protects bins 0..75, which are
+    # row 0's smallest; row 0 keeps those and drops only 179 - 76
+    rising = np.arange(1.0, 258.0)
+    mask = icm.build_fmask(np.stack([rising, 1000.0 * rising[::-1]]), 0.3)
+    assert (mask == 0.0).sum(axis=1).tolist() == [179 - 76, 179]
+    assert np.array_equal(mask[0, :179], np.r_[np.ones(76), np.zeros(103)])
 
 
 def test_toy_mask_sets_by_brute_force():
@@ -117,9 +123,8 @@ def test_toy_mask_sets_by_brute_force():
     row = 2.0 * np.cos(2 * np.pi * t / 6) + 0.3 * np.cos(2 * np.pi * 2 * t / 6) + 0.05
     x = np.stack([row, row])
     spec = icm.dft_forward(x)
-    amps = spec.amplitude[:, :3]
-    cfg = FilterConfig(0.4, length)  # n_keep = floor(0.4*3) = 1, n_drop = floor(0.6*3) = 1
-    assert cfg.n_keep == 1 and cfg.n_drop == 1
+    amps = np.abs(spec[:, :3])
+    # keep 0.4: n_keep = floor(0.4*3) = 1, n_drop = floor(0.6*3) = 1
 
     # brute force on one row: protect the largest-mean bin, drop the
     # smallest per-row bin unless protected
@@ -130,25 +135,25 @@ def test_toy_mask_sets_by_brute_force():
     if drop != protect:
         expected[drop] = 0.0
 
-    mask = icm.build_fmask(spec, cfg)
+    mask = icm.build_fmask(spec, 0.4)
     assert np.array_equal(mask[0], expected)
     assert np.array_equal(mask[0], mask[1])
 
-    single = icm.build_fmask(Spectrum(spec.coeffs[:1], length), cfg)
+    single = icm.build_fmask(spec[:1], 0.4)
     assert np.array_equal(single[0], mask[0])
 
 
 def test_set_sizes_and_disjointness():
     x = Rng(37).normal((5, 100))
-    cfg = FilterConfig(0.3, 100)
+    half, n_keep, n_drop = 50, 15, 35  # keep 0.3 of L // 2 = 50 maskable bins
     spec = icm.dft_forward(x)
-    mask = icm.build_fmask(spec, cfg)
-    mean_amp = spec.amplitude[:, : cfg.half].mean(axis=0)
-    protected = set(np.argsort(-mean_amp, kind="stable")[: cfg.n_keep].tolist())
-    assert len(protected) == cfg.n_keep
+    mask = icm.build_fmask(spec, 0.3)
+    mean_amp = np.abs(spec[:, :half]).mean(axis=0)
+    protected = set(np.argsort(-mean_amp, kind="stable")[:n_keep].tolist())
+    assert len(protected) == n_keep
     for r in range(5):
         dropped = set(np.flatnonzero(mask[r] == 0.0).tolist())
-        assert len(dropped) <= cfg.n_drop
+        assert len(dropped) <= n_drop
         assert dropped.isdisjoint(protected)
 
 
@@ -159,7 +164,7 @@ def test_masking_the_only_active_bin_zeroes_the_signal():
     spec = icm.dft_forward(x)
     mask = np.ones((1, 32))
     mask[0, 4] = 0.0
-    assert np.abs(icm.apply_and_invert(spec, mask)).max() < 1e-8
+    assert np.abs(icm.apply_and_invert(spec, mask, length)).max() < 1e-8
 
 
 def test_removed_component_is_nearly_zero_mean():
@@ -170,16 +175,10 @@ def test_removed_component_is_nearly_zero_mean():
     x = np.stack(
         [np.sin(2 * np.pi * t / 24 + rng.uniform() * 6.28) + 0.3 * rng.normal(length) for _ in range(16)]
     )
-    denoised = icm.generate_positive_views(x, FilterConfig(0.3, length))
+    denoised = icm.generate_positive_views(x, 0.3)
     removed = x - denoised
     ratio = np.abs(removed.mean(axis=1)) / x.std(axis=1)
     assert (ratio < 0.05).mean() >= 0.95
-
-
-def test_length_mismatch_between_config_and_spectrum():
-    spec = icm.dft_forward(Rng(39).normal((1, 32)))
-    with pytest.raises(ContractError):
-        icm.build_fmask(spec, FilterConfig(0.5, 64))
 
 
 # ---------------------------------------------------------------------------
