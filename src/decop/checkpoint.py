@@ -10,7 +10,8 @@ Layout::
 
 Training math is float64; serialization narrows to float32. Loading
 widens back, so save -> load -> save is byte-identical. A header that
-repeats a config key or a parameter name does not load. Structural
+repeats a config key or a parameter name, or names a config key outside
+the structural fields, does not load. Structural
 fields must match the loading run's configuration exactly; channel
 count is deliberately not structural (weights are channel independent).
 
@@ -107,6 +108,8 @@ def _parse_header(blob: bytes, path: str):
         kind, _, rest = line.partition(" ")
         if kind == "config" and "=" in rest:
             key, value = rest.split("=", 1)
+            if key not in _STRUCTURAL:
+                raise CheckpointError(f"{path}: header has unknown config key {key!r}")
             if key in config:
                 raise CheckpointError(f"{path}: header repeats config key {key!r}")
             config[key] = value

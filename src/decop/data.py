@@ -8,7 +8,8 @@ or a class label.
 CSV contract: UTF-8 (a leading byte-order mark is ignored), comma
 separated, one header row. A first column named ``date`` is ignored. A
 column named ``label`` (anywhere) supplies per-row integer class labels
-and is not a channel. Every other column is a numeric channel.
+and is not a channel. Every other column is a numeric channel. No two
+columns share a name.
 """
 
 from __future__ import annotations
@@ -148,13 +149,19 @@ def _split_boundaries(n_rows: int, spec: DatasetSpec) -> tuple[int, int, int]:
     return train, val, n_rows
 
 
-def split_columns(header: list[str]) -> tuple[list[int], list[int]]:
+def split_columns(header: list[str], path: str) -> tuple[list[int], list[int]]:
     """Channel and label column indices of a CSV header row.
 
     A first column named ``date`` is neither; names compare trimmed and
-    case-insensitively.
+    case-insensitively, and a name given twice is a ``ParseError``.
     """
     names = [name.strip().lower() for name in header]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ParseError(
+                f"{path}: column {j + 1} repeats the name of column {names.index(name) + 1}: "
+                f"{header[j].strip()!r}"
+            )
     labels = [i for i, name in enumerate(names) if name == "label"]
     channels = [
         i for i, name in enumerate(names) if name != "label" and not (i == 0 and name == "date")
@@ -180,7 +187,7 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")
-    channel_cols, label_cols = split_columns(header)
+    channel_cols, label_cols = split_columns(header, path)
     if not channel_cols:
         raise ParseError(f"{path}: no channel columns")
     if spec.classes and not label_cols:
@@ -235,10 +242,20 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
         raise SizeError(
             f"{spec.name}: split 'train' has 0 of {n_rows} rows, but the channel statistics need one"
         )
+    # a huge but finite cell can overflow the statistics or the scaling;
+    # that is reported once here, not as numpy warnings or a silent channel
     train_rows = values[: boundaries[0]]
-    mean = train_rows.mean(axis=0)
-    std = np.maximum(train_rows.std(axis=0), STD_FLOOR)
-    standardized = (values - mean) / std
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train_rows.mean(axis=0)
+        std = np.maximum(train_rows.std(axis=0), STD_FLOOR)
+        standardized = (values - mean) / std
+    bad = ~(np.isfinite(mean) & np.isfinite(std) & np.isfinite(standardized).all(axis=0))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ParseError(
+            f"{path}: column '{header[channel_cols[j]]}': too large to standardize in float64 "
+            f"(train mean {mean[j]:.6g}, std {std[j]:.6g})"
+        )
     return Dataset(spec.name, standardized, boundaries, mean, std, labels)
 
 

@@ -31,6 +31,8 @@ so it can be re-implemented in any language:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -87,19 +89,16 @@ class Rng:
         """Derive an independent stream for a named purpose."""
         return Rng(splitmix64_mix(self.seed ^ fnv1a64(tag)))
 
-    def words(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words.
+    def _rounds(self, rows):
+        """Step every lane once per row of ``rows``, yielding each row
+        once it holds that round's words.
 
-        The lanes step in place: each round writes its words straight into
-        the output and the new lane state into the two state arrays, with
-        one scratch array for the whole call.
+        The lanes step in place: the new lane state goes into the two
+        state arrays, with one scratch array for the whole walk.
         """
-        if n <= 0:
-            return np.empty(0, dtype=np.uint64)
-        out = np.empty((-(-n // LANES), LANES), dtype=np.uint64)
         s0, s1 = self._s0, self._s1
         t = np.empty(LANES, dtype=np.uint64)
-        for row in out:
+        for row in rows:
             np.add(s0, s1, out=row)
             # t = s0 ^ (s0 << 23); s1' = t ^ s1 ^ (t >> 18) ^ (s1 >> 5) is
             # built in s0's array, then the arrays swap roles (s0' = s1)
@@ -111,7 +110,16 @@ class Rng:
             np.right_shift(s1, _SHR_S1, out=t)
             s0 ^= t
             s0, s1 = s1, s0
-        self._s0, self._s1 = s0, s1
+            self._s0, self._s1 = s0, s1
+            yield row
+
+    def words(self, n: int) -> np.ndarray:
+        """Next ``n`` raw 64-bit words, each round written straight into the output."""
+        if n <= 0:
+            return np.empty(0, dtype=np.uint64)
+        out = np.empty((-(-n // LANES), LANES), dtype=np.uint64)
+        for _ in self._rounds(out):
+            pass
         return out.reshape(-1)[:n]
 
     def uniform(self, shape=None) -> np.ndarray | float:
@@ -160,11 +168,16 @@ class Rng:
 
         Integer form of ``uniform(shape) < p``: since uniforms are
         ``(word >> 11) * 2**-53``, the test equals ``(word >> 11) <
-        ceil(p * 2**53)`` exactly.
+        ceil(p * 2**53)`` exactly. Each round's words are tested in one
+        scratch row, straight into the output, so the call never holds
+        more than one round of words.
         """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
         threshold = np.uint64(min(int(np.ceil(p * 2.0**53)), 1 << 53))
-        w = self.words(n)
-        w >>= _MANTISSA_SHIFT
-        return (w < threshold).reshape(shape)
+        out = np.empty(n, dtype=bool)
+        row = np.empty(LANES, dtype=np.uint64)
+        for start, w in zip(range(0, n, LANES), self._rounds(itertools.repeat(row))):
+            w >>= _MANTISSA_SHIFT
+            np.less(w[: n - start], threshold, out=out[start : start + LANES])
+        return out.reshape(shape)

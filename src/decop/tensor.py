@@ -59,6 +59,22 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
+# Elementwise chains run over consecutive slices of this many elements, so
+# that a slice's intermediates (256 KB per float64 array) stay in a core's
+# L2 cache between the calls of the chain. A whole-array call would stream
+# every intermediate through memory once per call instead.
+BLOCK = 32768
+
+
+def _blocks(n: int, step: int = BLOCK):
+    """Slices covering ``range(n)`` in order, ``step`` elements at a time.
+
+    Private, like every helper here: a public function of this module is
+    a tensor op.
+    """
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
 
 class Tensor:
     """A shaped float64 array, optionally carrying a gradient slot.
@@ -298,30 +314,55 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh form."""
+    """Gaussian error linear unit, tanh form.
+
+    Forward and backward run block by block; each element sees the plain
+    expressions' operations in their order, so the bits do not change.
+    """
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
+    flat_x = x.reshape(-1)
+    t = np.empty(x.shape)
+    out = np.empty(x.shape)
+    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+    buf = np.empty(min(x.size, BLOCK))
+    for s in _blocks(x.size):
+        xs, ts, outs, inner = flat_x[s], flat_t[s], flat_out[s], buf[: s.stop - s.start]
+        # t = tanh(c * (x + 0.044715 * (x * x * x))); out = 0.5 * x * (1 + t)
+        np.multiply(xs, xs, out=inner)
+        inner *= xs
+        inner *= 0.044715
+        inner += xs
+        inner *= _GELU_C
+        np.tanh(inner, out=ts)
+        np.multiply(0.5, xs, out=outs)
+        np.add(1.0, ts, out=inner)
+        outs *= inner
 
     def backward(g):
         # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)),
-        # each product and sum in that order, in two buffers
-        buf = np.multiply(t, t)
-        np.subtract(1.0, buf, out=buf)
-        slope = np.multiply(0.5, x)
-        slope *= buf
-        slope *= _GELU_C
-        np.multiply(3 * 0.044715, x, out=buf)
-        buf *= x
-        buf += 1.0
-        slope *= buf
-        np.add(1.0, t, out=buf)
-        buf *= 0.5
-        slope += buf
-        slope *= g
+        # each product and sum in that order
+        flat_g = g.reshape(-1)
+        slope = np.empty(x.shape)
+        flat_slope = slope.reshape(-1)
+        buf = np.empty(min(x.size, BLOCK))
+        for s in _blocks(x.size):
+            xs, ts, ss, b = flat_x[s], flat_t[s], flat_slope[s], buf[: s.stop - s.start]
+            np.multiply(ts, ts, out=b)
+            np.subtract(1.0, b, out=b)
+            np.multiply(0.5, xs, out=ss)
+            ss *= b
+            ss *= _GELU_C
+            np.multiply(3 * 0.044715, xs, out=b)
+            b *= xs
+            b += 1.0
+            ss *= b
+            np.add(1.0, ts, out=b)
+            b *= 0.5
+            ss += b
+            ss *= flat_g[s]
         return (slope,)
 
-    return _record((a,), 0.5 * x * (1.0 + t), backward)
+    return _record((a,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -516,30 +557,38 @@ def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
 
 
 def dropout_add(a: Tensor, b: Tensor, p: float, rng: Rng | None, train: bool) -> Tensor:
-    """``a + dropout(b)`` with Bernoulli dropout scaled by 1/(1-p).
+    """``a + dropout(b)`` with Bernoulli dropout scaled by 1/(1-p), over a leading batch axis.
 
     Dropout is the identity when not training or at ``p == 0``; the sum
     is then the only array written.
     """
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability {p} outside [0, 1)")
-    if a.shape != b.shape:
+    if a.shape != b.shape or not a.shape:
         raise DimensionError("dropout_add", a.shape, b.shape)
     if not train or p == 0.0:
         return _record((a, b), a.data + b.data, lambda g: (g, g))
     if rng is None:
         raise ContractError("train-mode dropout needs an rng stream")
     # a 1-byte keep mask; keep * scale equals where(drop, 0, scale), so
-    # both products match the float-mask form bit for bit
+    # both products match the float-mask form bit for bit. Both run in
+    # blocks of whole batch rows.
     scale = 1.0 / (1.0 - p)
     keep = ~rng.bernoulli(p, b.shape)
-    out = np.multiply(keep, scale)
-    out *= b.data
-    out += a.data
+    rows = max(1, BLOCK // max(1, math.prod(b.shape[1:])))
+    out = np.empty(b.shape)
+    for s in _blocks(b.shape[0], rows):
+        outs = out[s]
+        np.multiply(keep[s], scale, out=outs)
+        outs *= b.data[s]
+        outs += a.data[s]
 
     def backward(g):
-        gb = np.multiply(keep, scale)
-        gb *= g
+        gb = np.empty(g.shape)
+        for s in _blocks(g.shape[0], rows):
+            gbs = gb[s]
+            np.multiply(keep[s], scale, out=gbs)
+            gbs *= g[s]
         return (g, gb)
 
     return _record((a, b), out, backward)

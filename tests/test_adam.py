@@ -6,7 +6,8 @@ import pytest
 from decop import tensor as T
 from decop.errors import ContractError, NumericError
 from decop.optim import Adam, train_epoch
-from decop.tensor import Tensor
+from decop.rng import Rng
+from decop.tensor import BLOCK, Tensor
 
 
 def test_zero_gradient_leaves_parameter_unchanged():
@@ -37,6 +38,31 @@ def test_first_step_magnitude_matches_hand_evaluation():
     expected = 1.0 - 1e-4 * 1.0 / (np.sqrt(1.0) + 1e-8)
     assert abs(float(p.data) - expected) < 1e-12
     assert abs(float(p.data) - (1.0 - 1e-4)) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3, BLOCK // 2 + 5)])
+def test_blocked_step_matches_the_plain_expression_bit_for_bit(shape):
+    rng = Rng(sum(shape) + 17)
+    p = Tensor(rng.normal(shape), requires_grad=True)
+    opt = Adam({"p": p, "blend": Tensor(np.array(0.25), requires_grad=True)}, lr=3e-3)
+    data, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    b1, b2 = Adam.beta1, Adam.beta2
+    for t in range(1, 5):
+        g = rng.normal(shape) * 10.0 ** (t - 2)
+        p.grad = g.copy()
+        opt.params["blend"].grad = np.array(0.5)
+        opt.step()
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        data = data - 3e-3 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + Adam.eps)
+        assert np.array_equal(p.data, data), t
+        assert np.array_equal(opt.m["p"], m) and np.array_equal(opt.v["p"], v), t
+
+
+def test_non_contiguous_parameter_is_a_contract_error():
+    p = Tensor(np.zeros((3, 4)).T, requires_grad=True)
+    with pytest.raises(ContractError, match="'p' is not a C-contiguous array"):
+        Adam({"p": p})
 
 
 def test_missing_grad_is_a_contract_error():

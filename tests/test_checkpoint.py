@@ -192,6 +192,13 @@ def test_header_repeating_a_config_key_is_rejected(tmp_path):
     _assert_load_rejected_unchanged(path, "config key 'lookback'")
 
 
+def test_header_with_an_unknown_config_key_is_rejected(tmp_path):
+    path = str(tmp_path / "m.decop")
+    checkpoint.save(path, _model())
+    _with_extra_header_line(path, b"config turbo=9")
+    _assert_load_rejected_unchanged(path, "unknown config key 'turbo'")
+
+
 # ---------------------------------------------------------------------------
 # config files
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs on small synthetic data."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,34 @@ def test_non_finite_csv_cell_is_one_data_error(pretrained, capsys, cell):
     cfg = _config(tmp_path, str(bad), f"csv-{cell}", epochs=1)
     err = _assert_one_error_line(main(["pretrain", "--config", cfg]), capsys, "data")
     assert "row 8, column 'ch1'" in err and repr(cell) in err
+
+
+def test_huge_csv_cell_is_one_data_error_naming_the_channel(pretrained, capsys):
+    tmp_path, data, _ = pretrained
+    lines = open(data, encoding="utf-8").read().splitlines()
+    cells = lines[7].split(",")
+    cells[1] = "1e200"
+    lines[7] = ",".join(cells)
+    bad = tmp_path / "cell-huge.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = _config(tmp_path, str(bad), "csv-huge", epochs=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pretrain", "--config", cfg])
+    err = _assert_one_error_line(code, capsys, "data")
+    assert "column 'ch1': too large to standardize" in err
+    assert not (tmp_path / "csv-huge").exists()
+
+
+def test_repeated_channel_name_is_one_data_error(pretrained, capsys):
+    tmp_path, data, _ = pretrained
+    lines = open(data, encoding="utf-8").read().splitlines()
+    lines[0] = lines[0].replace("ch1", " CH0")
+    bad = tmp_path / "repeated.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["pretrain", "--config", _config(tmp_path, str(bad), "repeated", epochs=1)])
+    err = _assert_one_error_line(code, capsys, "data")
+    assert "column 2 repeats the name of column 1: 'CH0'" in err
 
 
 def test_non_utf8_csv_is_one_data_error(pretrained, capsys):

@@ -1,5 +1,7 @@
 """Loading, splitting, windowing, and patch arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,9 +121,53 @@ def test_leading_byte_order_mark_is_ignored(tmp_path):
 
 
 def test_split_columns_rule():
-    assert split_columns(["Date", "a", " label ", "b"]) == ([1, 3], [2])
+    assert split_columns(["Date", "a", " label ", "b"], "x.csv") == ([1, 3], [2])
     # date counts only as the first column
-    assert split_columns(["a", "date"]) == ([0, 1], [])
+    assert split_columns(["a", "date"], "x.csv") == ([0, 1], [])
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("a,a", "column 2 repeats the name of column 1: 'a'"),
+        ("x, A ,b,a", "column 4 repeats the name of column 2: 'a'"),
+        ("date,label,b,LABEL", "column 4 repeats the name of column 2: 'LABEL'"),
+        ("date,a,Date", "column 3 repeats the name of column 1: 'Date'"),
+    ],
+)
+def test_repeated_column_name_is_a_parse_error(tmp_path, header, message):
+    width = header.count(",") + 1
+    text = header + "\n" + "\n".join(",".join(["1"] * width) for _ in range(12))
+    with pytest.raises(ParseError, match=message):
+        load_csv(_write(tmp_path, text), DatasetSpec("toy", "x"))
+
+
+def _load_quietly(path):
+    # a numpy RuntimeWarning raises here, so the check must come before one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load_csv(path, DatasetSpec("toy", "x"))
+
+
+@pytest.mark.parametrize("cell", ["1e200", "-1e300", "1.7e308"])
+def test_huge_train_cell_is_a_parse_error_naming_the_channel(tmp_path, cell):
+    # the train split's std overflows to inf, which used to scale the
+    # whole channel to zeros
+    rows = [f"{i}.5,{i}" for i in range(12)]
+    rows[3] = f"3.5,{cell}"
+    with pytest.raises(ParseError, match="column 'b': too large to standardize"):
+        _load_quietly(_write(tmp_path, "a,b\n" + "\n".join(rows)))
+
+
+def test_cell_that_overflows_when_scaled_is_a_parse_error(tmp_path):
+    # finite statistics: a constant train channel has the std floor, so a
+    # huge test-split cell scales past the float64 range
+    rows = [f"{i}.5,1.0" for i in range(12)]
+    rows[11] = "11.5,1e301"
+    with pytest.raises(ParseError, match="column 'b': too large to standardize"):
+        _load_quietly(_write(tmp_path, "a,b\n" + "\n".join(rows)))
+    rows[11] = "11.5,1e290"
+    assert np.isfinite(_load_quietly(_write(tmp_path, "a,b\n" + "\n".join(rows))).values).all()
 
 
 def test_ett_hourly_protocol_boundaries(tmp_path):

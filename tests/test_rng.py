@@ -1,6 +1,7 @@
 """The random stream spec, checked against a scalar reference implementation."""
 
 import numpy as np
+import pytest
 
 from decop.rng import LANES, Rng, fnv1a64, splitmix64_mix, splitmix64_sequence
 
@@ -145,3 +146,21 @@ def test_in_place_stream_matches_round_at_a_time_reference():
         assert np.array_equal(rng.bernoulli(p, shape), want), p
     assert np.array_equal(rng._s0, lanes[0])
     assert np.array_equal(rng._s1, lanes[1])
+
+
+@pytest.mark.parametrize("n", [0, 1, LANES - 1, LANES, 3 * LANES, 2 * LANES + 5])
+def test_bernoulli_matches_whole_words_then_threshold(n):
+    # the round-at-a-time comparison gives the same mask and leaves the
+    # stream where drawing the words would
+    p = 0.3
+    drawn, reference = Rng(99), Rng(99)
+    drawn.words(7)
+    reference.words(7)
+    mask = drawn.bernoulli(p, (n,))
+    words = reference.words(n)
+    want = (words >> np.uint64(11)) < np.uint64(int(np.ceil(p * 2.0**53)))
+    assert mask.dtype == bool and mask.shape == (n,)
+    assert np.array_equal(mask, want)
+    assert np.array_equal(drawn._s0, reference._s0)
+    assert np.array_equal(drawn._s1, reference._s1)
+    assert np.array_equal(drawn.words(LANES + 3), reference.words(LANES + 3))

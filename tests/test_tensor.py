@@ -64,6 +64,9 @@ def test_shape_mismatch_names_operation():
         T.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
     with pytest.raises(DimensionError, match="add"):
         T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+    # dropout runs over a leading batch axis, which a 0-d value lacks
+    with pytest.raises(DimensionError, match="dropout_add"):
+        T.dropout_add(Tensor(np.ones(())), Tensor(np.ones(())), 0.5, Rng(1), train=True)
 
 
 def test_broadcast_row_vector_over_rows():
@@ -281,8 +284,12 @@ def test_gelu_matches_pow_form_within_rounding():
     assert np.abs(out - pow_form).max() <= 1e-15
 
 
-@pytest.mark.parametrize("shape", [(3264, 256), (512, 512), (1024, 256)])
+@pytest.mark.parametrize(
+    "shape",
+    [(3264, 256), (512, 512), (1024, 256), (), (1,), (T.BLOCK - 1,), (T.BLOCK,), (3, T.BLOCK // 3 + 1)],
+)
 def test_gelu_backward_matches_the_plain_expression_bit_for_bit(shape):
+    # forward too; the shapes straddle the kernels' block boundaries
     rng = Rng(fnv1a64(f"gelu-backward-{shape}"))
     x = rng.normal(shape) * 3.0
     g = rng.normal(shape)
@@ -291,7 +298,11 @@ def test_gelu_backward_matches_the_plain_expression_bit_for_bit(shape):
     sech2 = 1.0 - t * t
     expected = g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * c * (1.0 + 3 * 0.044715 * x * x))
     a = Tensor(x, requires_grad=True)
-    run_backward(lambda: T.sum_all(T.mul(T.gelu(a), Tensor(g))))
+    with Tape() as tape:
+        out = T.gelu(a)
+        loss = T.sum_all(T.mul(out, Tensor(g)))
+    tape.backward(loss)
+    assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
     assert np.array_equal(a.grad, expected)
 
 
@@ -527,15 +538,15 @@ def test_dropout_add_of_one_tensor_with_itself_matches_finite_differences():
     _fd_check("dropout_add_self", build, [x, w])
 
 
-def test_dropout_add_matches_the_float_mask_form_bit_for_bit():
+def _check_dropout_add_bits(shape):
     p, seed = 0.4, fnv1a64("dropout-bits")
     scale = 1.0 / (1.0 - p)
-    values = Rng(seed).normal(128) * 10.0
+    values = Rng(seed).normal(int(np.prod(shape))) * 10.0
     values[:10] = [0.0, -0.0, -1.5, 1e300, -1e300, 3e299, 5e-324, -5e-324, 7.25, -0.1]
-    a = Tensor(values.reshape(8, 16), requires_grad=True)
-    b = Tensor(values[::-1].reshape(8, 16), requires_grad=True)
-    g = np.roll(values, 5).reshape(8, 16)
-    drop = Rng(seed).bernoulli(p, (8, 16))
+    a = Tensor(values.reshape(shape), requires_grad=True)
+    b = Tensor(values[::-1].reshape(shape), requires_grad=True)
+    g = np.roll(values, 5).reshape(shape)
+    drop = Rng(seed).bernoulli(p, shape)
     assert drop.any() and not drop.all()
 
     with Tape() as tape:
@@ -548,3 +559,13 @@ def test_dropout_add_matches_the_float_mask_form_bit_for_bit():
     assert np.array_equal(gb.view(np.uint64), (g * float_mask).view(np.uint64))
     kept = [c.cell_contents for c in backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
     assert [m.itemsize for m in kept] == [1]
+
+
+def test_dropout_add_matches_the_float_mask_form_bit_for_bit():
+    _check_dropout_add_bits((8, 16))
+
+
+@pytest.mark.parametrize("shape", [(9, 5, T.BLOCK // 40), (3, T.BLOCK + 1), (T.BLOCK + 1, 1)])
+def test_dropout_add_bits_hold_across_row_blocks(shape):
+    # several blocks of rows, the last one short; rows wider than a block
+    _check_dropout_add_bits(shape)
