@@ -165,6 +165,9 @@ def cmd_filter_viz(cfg: RunConfig, channel: int, out_path: str | None) -> int:
 def cmd_synth(out_path: str, kind: str, rows: int, channels: int, seed: int) -> int:
     if rows < 1 or channels < 1:
         raise ConfigError(f"--rows and --channels must be at least 1, got {rows} and {channels}")
+    if rows * channels > sys.maxsize // 8:
+        # more bytes than any numpy shape can hold (numpy would raise ValueError)
+        raise ConfigError(f"--rows x --channels = {rows} x {channels} values do not fit in memory")
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     if kind == "sine":
         write_csv(out_path, synthetic_sine(rows, channels, seed))
@@ -223,6 +226,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"decop:error:io: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # a size in the config or on the command line that no memory can hold
+        print(f"decop:error:config: the run's sizes do not fit in memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

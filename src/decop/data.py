@@ -172,10 +172,10 @@ def split_columns(header: list[str], path: str) -> tuple[list[int], list[int]]:
 def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     """Load, standardize, and split a dataset CSV.
 
-    Rows are numbered from 1 at the header for error reporting. Channel
-    cells must be finite numbers and labels integers. With ``spec.classes``
-    set, a ``label`` column is required and every label must lie in
-    ``[0, classes)``. The train split must hold a row, since its
+    Blank lines are skipped, and errors name a row by its line in the
+    file. Channel cells must be finite numbers and labels integers. With
+    ``spec.classes`` set, a ``label`` column is required and every label
+    must lie in ``[0, classes)``. The train split must hold a row, since its
     statistics standardize every channel.
     """
     try:
@@ -183,29 +183,30 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
             lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    lines = [ln for ln in lines if ln != ""]
-    if not lines:
+    numbered = [(lineno, ln) for lineno, ln in enumerate(lines, start=1) if ln != ""]
+    if not numbered:
         raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = numbered[0][1].split(",")
+    body = numbered[1:]
     channel_cols, label_cols = split_columns(header, path)
     if not channel_cols:
         raise ParseError(f"{path}: no channel columns")
     if spec.classes and not label_cols:
         raise ParseError(f"{path}: no 'label' column; a classify run needs one")
 
-    n_rows = len(lines) - 1
+    n_rows = len(body)
     values = np.empty((n_rows, len(channel_cols)), dtype=np.float64)
     labels = np.empty(n_rows, dtype=np.int64) if label_cols else None
-    for r, line in enumerate(lines[1:]):
+    for r, (lineno, line) in enumerate(body):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ParseError(f"{path}: row {r + 2} has {len(cells)} cells, header has {len(header)}")
+            raise ParseError(f"{path}: row {lineno} has {len(cells)} cells, header has {len(header)}")
         for j, c in enumerate(channel_cols):
             try:
                 values[r, j] = float(cells[c])
             except ValueError:
                 raise ParseError(
-                    f"{path}: row {r + 2}, column '{header[c]}': not numeric: {cells[c]!r}"
+                    f"{path}: row {lineno}, column '{header[c]}': not numeric: {cells[c]!r}"
                 ) from None
         if labels is not None:
             cell = cells[label_cols[0]]
@@ -217,21 +218,22 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
                 labels[r] = label
             except (ValueError, OverflowError):
                 raise ParseError(
-                    f"{path}: row {r + 2}, column 'label': not an integer: {cell!r}"
+                    f"{path}: row {lineno}, column 'label': not an integer: {cell!r}"
                 ) from None
     finite = np.isfinite(values)
     if not finite.all():
         r, j = np.argwhere(~finite)[0]
         c = channel_cols[j]
+        lineno, line = body[r]
         raise ParseError(
-            f"{path}: row {r + 2}, column '{header[c]}': not finite: {lines[r + 1].split(',')[c]!r}"
+            f"{path}: row {lineno}, column '{header[c]}': not finite: {line.split(',')[c]!r}"
         )
     if spec.classes:
         outside = (labels < 0) | (labels >= spec.classes)
         if outside.any():
             r = int(np.argmax(outside))
             raise ParseError(
-                f"{path}: row {r + 2}, column 'label': {labels[r]} is not a class in [0, {spec.classes})"
+                f"{path}: row {body[r][0]}, column 'label': {labels[r]} is not a class in [0, {spec.classes})"
             )
 
     if spec.min_rows and n_rows < spec.min_rows:
@@ -391,12 +393,16 @@ def synthetic_two_class(
 
 def write_csv(path: str, values: np.ndarray, labels: np.ndarray | None = None) -> None:
     """Write a dataset CSV in the package's own input format."""
-    n_rows, channels = values.shape
+    channels = values.shape[1]
     header = ",".join([f"ch{m}" for m in range(channels)] + (["label"] if labels is not None else []))
+    # one %-format per row: the same text as formatting each value with
+    # f"{v:.12g}" and each label with str()
+    row_format = ",".join(["%.12g"] * channels)
+    rows = values.tolist()
+    if labels is not None:
+        row_format += ",%s"
+        rows = [row + [label] for row, label in zip(rows, labels.tolist())]
+    row_format += "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for r in range(n_rows):
-            row = ",".join(f"{v:.12g}" for v in values[r])
-            if labels is not None:
-                row += f",{labels[r]}"
-            fh.write(row + "\n")
+        fh.writelines(row_format % tuple(row) for row in rows)

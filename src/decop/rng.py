@@ -32,6 +32,8 @@ so it can be re-implemented in any language:
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 
 import numpy as np
 
@@ -117,7 +119,12 @@ class Rng:
         """Next ``n`` raw 64-bit words, each round written straight into the output."""
         if n <= 0:
             return np.empty(0, dtype=np.uint64)
-        out = np.empty((-(-n // LANES), LANES), dtype=np.uint64)
+        rows = -(-n // LANES)
+        if rows > sys.maxsize // (8 * LANES):
+            # numpy rejects a shape this large with a ValueError; it is a
+            # request no memory can hold
+            raise MemoryError(f"cannot allocate {n} random words")
+        out = np.empty((rows, LANES), dtype=np.uint64)
         for _ in self._rounds(out):
             pass
         return out.reshape(-1)[:n]
@@ -127,7 +134,7 @@ class Rng:
         if shape is None:
             return float(self.words(1)[0] >> _MANTISSA_SHIFT) * 2.0**-53
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         u = (self.words(n) >> _MANTISSA_SHIFT).astype(np.float64) * 2.0**-53
         return u.reshape(shape)
 
@@ -137,7 +144,7 @@ class Rng:
     def normal(self, shape) -> np.ndarray:
         """Standard normal deviates via Box-Muller."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         pairs = -(-n // 2)
         w = self.words(2 * pairs)
         u1 = ((w[0::2] >> _MANTISSA_SHIFT).astype(np.float64) + 1.0) * 2.0**-53
@@ -173,7 +180,7 @@ class Rng:
         more than one round of words.
         """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         threshold = np.uint64(min(int(np.ceil(p * 2.0**53)), 1 << 53))
         out = np.empty(n, dtype=bool)
         row = np.empty(LANES, dtype=np.uint64)

@@ -76,6 +76,32 @@ def _blocks(n: int, step: int = BLOCK):
         yield slice(start, min(start + step, n))
 
 
+# Float64 arrays of at least this many bytes are cut from blocks of a few
+# interchangeable sizes: _SIZES_PER_OCTAVE evenly spaced sizes in each
+# range (2^k, 2^(k+1)] bytes.
+_ROUND_FROM = 1 << 20
+_SIZES_PER_OCTAVE = 4
+
+
+def _empty(shape) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array of ``shape``.
+
+    A large one is a view of a block rounded up to the next of the sizes
+    above. The encoder's arrays come in a few nearly equal sizes (the
+    latent and each window size's padded layout: 43, 44 and 45 patch
+    slots at the benchmark shape), and the heap keeps freed blocks (see
+    :func:`_keep_freed_memory`). Without rounding, a freed block 2 %
+    too small for the next request stays a hole and the heap grows; with
+    it, all three sizes take one block size, and any freed one serves.
+    """
+    n = math.prod(shape)
+    nbytes = 8 * n
+    if nbytes < _ROUND_FROM:
+        return np.empty(shape)
+    step = (1 << (nbytes - 1).bit_length()) // (2 * _SIZES_PER_OCTAVE)
+    return np.empty(-(-nbytes // step) * step // 8)[:n].reshape(shape)
+
+
 class Tensor:
     """A shaped float64 array, optionally carrying a gradient slot.
 
@@ -161,18 +187,20 @@ class Tape:
             _run_entry(grads, *entries.pop())
 
 
-def _refs_when_only_grads_holds() -> int:
-    """``sys.getrefcount`` of an array that only the ``grads`` dict holds.
+def _refs_when_only_grads_holds() -> tuple[int, int]:
+    """``sys.getrefcount`` of an array that only the ``grads`` dict holds,
+    and of the block under such an array when nothing else views it.
 
-    Read the way :func:`_run_entry` reads it: 3 on CPython 3.11, fewer on
-    an interpreter whose loads of a local borrow its reference.
+    Read the way :func:`_run_entry` reads them: 3 and 3 on CPython 3.11,
+    fewer on an interpreter whose loads of a local borrow its reference.
     """
-    grads = {0: np.empty(1)}
+    grads = {0: np.empty(2)[:1]}
     acc = grads.get(0)
-    return sys.getrefcount(acc)
+    base = acc.base
+    return sys.getrefcount(acc), sys.getrefcount(base)
 
 
-_SOLE_OWNER_REFS = _refs_when_only_grads_holds()
+_SOLE_OWNER_REFS, _SOLE_VIEW_REFS = _refs_when_only_grads_holds()
 
 
 def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn) -> None:
@@ -182,9 +210,10 @@ def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn
     the next entry runs. Backward rules may return views of their input
     or one array for two inputs, so a stored gradient is added into in
     place only when the sweep owns it outright: an ``ndarray`` (a numpy
-    scalar would rebind ``acc`` instead) that owns its data, has the
-    incoming shape, and is referenced by nothing but ``grads``.
-    Otherwise the sum allocates.
+    scalar would rebind ``acc`` instead) with the incoming shape,
+    referenced by nothing but ``grads``, that owns its data or views a
+    block (from :func:`_empty`) that no other array views. Otherwise the
+    sum goes into a new array.
     """
     g_out = grads.pop(node, None)
     if g_out is None:
@@ -200,15 +229,23 @@ def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn
         acc = grads.get(ref)
         if acc is None:
             grads[ref] = g
-        elif (
+            continue
+        if (
             type(acc) is np.ndarray
-            and acc.base is None
-            and sys.getrefcount(acc) == _SOLE_OWNER_REFS
             and acc.shape == g.shape
+            and sys.getrefcount(acc) == _SOLE_OWNER_REFS
         ):
-            acc += g
-        else:
-            grads[ref] = acc + g
+            base = acc.base
+            if base is None or (
+                type(base) is np.ndarray
+                and base.base is None
+                and sys.getrefcount(base) == _SOLE_VIEW_REFS
+            ):
+                acc += g
+                continue
+        total = _empty(np.broadcast_shapes(acc.shape, g.shape))
+        np.add(acc, g, out=total)
+        grads[ref] = total
 
 
 def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
@@ -321,8 +358,8 @@ def gelu(a: Tensor) -> Tensor:
     """
     x = a.data
     flat_x = x.reshape(-1)
-    t = np.empty(x.shape)
-    out = np.empty(x.shape)
+    t = _empty(x.shape)
+    out = _empty(x.shape)
     flat_t, flat_out = t.reshape(-1), out.reshape(-1)
     buf = np.empty(min(x.size, BLOCK))
     for s in _blocks(x.size):
@@ -342,7 +379,7 @@ def gelu(a: Tensor) -> Tensor:
         # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)),
         # each product and sum in that order
         flat_g = g.reshape(-1)
-        slope = np.empty(x.shape)
+        slope = _empty(x.shape)
         flat_slope = slope.reshape(-1)
         buf = np.empty(min(x.size, BLOCK))
         for s in _blocks(x.size):
@@ -374,9 +411,20 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError("affine", x.shape, w.shape, b.shape)
     xd, wd = x.data, w.data
-    out = xd @ wd
+    out = _empty((xd.shape[0], wd.shape[1]))
+    np.matmul(xd, wd, out=out)
     out += b.data
-    return _record((x, w, b), out, lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+
+    def backward(g):
+        # the input is let go before its gradient takes a block of its own
+        nonlocal xd
+        gw = xd.T @ g
+        xd = None
+        gx = _empty((g.shape[0], wd.shape[0]))
+        np.matmul(g, wd.T, out=gx)
+        return gx, gw, g.sum(axis=0)
+
+    return _record((x, w, b), out, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -417,9 +465,16 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 # reductions
 
 
+def _broadcast_copy(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``g`` broadcast to ``shape``, written into an array of its own."""
+    full = _empty(shape)
+    np.copyto(full, g)
+    return full
+
+
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
-    return _record((a,), np.asarray(a.data.sum()), lambda g: (np.broadcast_to(g, shape).copy(),))
+    return _record((a,), np.asarray(a.data.sum()), lambda g: (_broadcast_copy(g, shape),))
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -428,7 +483,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
+        return (_broadcast_copy(g, shape),)
 
     return _record((a,), a.data.sum(axis=axis, keepdims=keepdims), backward)
 
@@ -437,7 +492,7 @@ def mean_all(a: Tensor) -> Tensor:
     shape, n = a.shape, a.size
 
     def backward(g):
-        return (np.broadcast_to(g / n, shape).copy(),)
+        return (_broadcast_copy(g / n, shape),)
 
     return _record((a,), np.asarray(a.data.mean()), backward)
 
@@ -448,7 +503,7 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, shape).copy(),)
+        return (_broadcast_copy(g / n, shape),)
 
     return _record((a,), a.data.mean(axis=axis, keepdims=keepdims), backward)
 
@@ -465,13 +520,15 @@ def standardize(a: Tensor) -> Tensor:
         dx = inv_std * (g - mean(g) - y * mean(g * y))
     """
     d = a.shape[-1]
-    out = a.data - np.einsum("...i->...", a.data)[..., None] / d
+    out = _empty(a.shape)
+    np.subtract(a.data, np.einsum("...i->...", a.data)[..., None] / d, out=out)
     var = np.einsum("...i,...i->...", out, out)[..., None] / d
     inv_std = 1.0 / np.sqrt(var + STANDARDIZE_EPS)
     out *= inv_std
 
     def backward(g):
-        dx = out * (np.einsum("...i,...i->...", g, out)[..., None] / -d)
+        dx = _empty(g.shape)
+        np.multiply(out, np.einsum("...i,...i->...", g, out)[..., None] / -d, out=dx)
         dx += g
         dx -= np.einsum("...i->...", g)[..., None] / d
         dx *= inv_std
@@ -504,16 +561,22 @@ def add_positions(
     """
     if z.data.ndim != 3 or pos.shape != z.shape[1:]:
         raise DimensionError("add_positions", z.shape, pos.shape)
-    if mask is None:
-        return _record((z, pos), z.data + pos.data, lambda g: (g, g.sum(axis=0)))
-    if mask.shape != z.shape[:2] or fill is None or fill.shape != (z.shape[2],):
+    if mask is not None and (mask.shape != z.shape[:2] or fill is None or fill.shape != (z.shape[2],)):
         raise DimensionError("add_positions", z.shape, mask.shape, None if fill is None else fill.shape)
-    gate = mask.astype(bool)[:, :, None]
-    out = np.where(gate, fill.data, z.data)
+    out = _empty(z.shape)
+    if mask is None:
+        np.add(z.data, pos.data, out=out)
+        return _record((z, pos), out, lambda g: (g, g.sum(axis=0)))
+    rows = mask.astype(bool)
+    np.copyto(out, z.data)
+    out[rows] = fill.data
     out += pos.data
 
     def backward(g):
-        return (np.where(gate, 0.0, g), g.sum(axis=0), g[gate[:, :, 0]].sum(axis=0))
+        gz = _empty(g.shape)
+        np.copyto(gz, g)
+        gz[rows] = 0.0
+        return (gz, g.sum(axis=0), g[rows].sum(axis=0))
 
     return _record((z, pos, fill), out, backward)
 
@@ -528,7 +591,7 @@ def window_partition(z: Tensor, window: int) -> Tensor:
         raise DimensionError("window_partition", z.shape, (window,))
     b, n, d = z.shape
     groups = -(-n // window)
-    out = np.empty((b * groups, window * d))
+    out = _empty((b * groups, window * d))
     padded = out.reshape(b, groups * window, d)
     padded[:, :n] = z.data
     padded[:, n:] = 0.0
@@ -548,7 +611,7 @@ def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
     full_shape, flat_shape = full.shape, z.shape
 
     def backward(g):
-        g_full = np.empty(full_shape)
+        g_full = _empty(full_shape)
         g_full[:, :n] = g
         g_full[:, n:] = 0.0
         return (g_full.reshape(flat_shape),)
@@ -566,8 +629,10 @@ def dropout_add(a: Tensor, b: Tensor, p: float, rng: Rng | None, train: bool) ->
         raise ContractError(f"dropout probability {p} outside [0, 1)")
     if a.shape != b.shape or not a.shape:
         raise DimensionError("dropout_add", a.shape, b.shape)
+    out = _empty(b.shape)
     if not train or p == 0.0:
-        return _record((a, b), a.data + b.data, lambda g: (g, g))
+        np.add(a.data, b.data, out=out)
+        return _record((a, b), out, lambda g: (g, g))
     if rng is None:
         raise ContractError("train-mode dropout needs an rng stream")
     # a 1-byte keep mask; keep * scale equals where(drop, 0, scale), so
@@ -576,7 +641,6 @@ def dropout_add(a: Tensor, b: Tensor, p: float, rng: Rng | None, train: bool) ->
     scale = 1.0 / (1.0 - p)
     keep = ~rng.bernoulli(p, b.shape)
     rows = max(1, BLOCK // max(1, math.prod(b.shape[1:])))
-    out = np.empty(b.shape)
     for s in _blocks(b.shape[0], rows):
         outs = out[s]
         np.multiply(keep[s], scale, out=outs)
@@ -584,7 +648,7 @@ def dropout_add(a: Tensor, b: Tensor, p: float, rng: Rng | None, train: bool) ->
         outs += a.data[s]
 
     def backward(g):
-        gb = np.empty(g.shape)
+        gb = _empty(g.shape)
         for s in _blocks(g.shape[0], rows):
             gbs = gb[s]
             np.multiply(keep[s], scale, out=gbs)

@@ -525,3 +525,37 @@ def test_empty_train_split_is_one_data_error(workspace, capsys, command, case):
     assert "split 'train' has 0 of" in _assert_one_error_line(code, capsys, "data")
     assert code == 3
     assert not (tmp_path / "empty-train").exists()
+
+
+# every size here needs more than 2**47 bytes, more than a 64-bit process
+# can map, so none of them is allocated whatever the overcommit setting
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("pretrain", {"model_dim": 2**45}),
+        ("pretrain", {"lookback": 2**50}),
+        ("pretrain", {"windows": f"1,{2**40}"}),
+        ("finetune", {"horizon": 2**45}),
+    ],
+    ids=["model-dim", "lookback", "window", "horizon"],
+)
+def test_size_that_cannot_be_allocated_is_one_config_error(workspace, capsys, command, overrides):
+    tmp_path, data = workspace
+    cfg = _config(tmp_path, data, "too-big", **overrides)
+    code = main([command, "--config", cfg])
+    assert "do not fit in memory" in _assert_one_error_line(code, capsys, "config")
+    assert code == 2
+    assert not (tmp_path / "too-big").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--rows", str(2**50)], ["--rows", str(2**62)], ["--channels", str(2**62)], ["--kind", "two-class", "--rows", str(2**50)]],
+    ids=["rows", "rows-beyond-any-shape", "channels-beyond-any-shape", "two-class-rows"],
+)
+def test_synth_size_that_cannot_be_allocated_is_one_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "data.csv"
+    code = main(["synth", "--out", str(out)] + flags)
+    assert "do not fit in memory" in _assert_one_error_line(code, capsys, "config")
+    assert code == 2
+    assert not out.exists()

@@ -98,6 +98,27 @@ def test_parse_error_names_row_and_column(tmp_path):
         load_csv(_write(tmp_path, "\n".join(lines)), DatasetSpec("toy", "x"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ch0,ch1\n1,2\n\n3,4\n5,x\n", "row 5, column 'ch1': not numeric"),
+        ("ch0,ch1\n\n1,2\n\n\n3\n", "row 6 has 1 cells"),
+        ("\nch0,ch1\n1,2\n\n3,nan\n", "row 5, column 'ch1': not finite"),
+        ("ch0,label\n1,0\n\n2,0.5\n", "row 4, column 'label': not an integer"),
+    ],
+    ids=["cell", "cell-count", "non-finite", "label"],
+)
+def test_errors_name_the_file_line_after_blank_lines(tmp_path, text, message):
+    with pytest.raises(ParseError, match=message):
+        load_csv(_write(tmp_path, text), DatasetSpec("toy", "x"))
+
+
+def test_class_range_error_names_the_file_line_after_blank_lines(tmp_path):
+    text = "ch0,label\n" + "\n".join(["1,0", "", "2,1", "", "3,2"]) + "\n"
+    with pytest.raises(ParseError, match="row 6, column 'label': 2 is not a class"):
+        load_csv(_write(tmp_path, text), DatasetSpec("toy", "x", classes=2))
+
+
 def test_too_few_rows_is_a_size_error(tmp_path):
     rows = "\n".join(["a"] + [str(i) for i in range(10)])
     with pytest.raises(SizeError, match="at least 64"):
@@ -196,6 +217,41 @@ def test_standardization_uses_train_stats_only(tmp_path):
     ds = load_csv(str(path), DatasetSpec("shift", str(path)))
     assert np.allclose(ds.values[:70, 0], 0.0)
     assert (ds.values[70:, 0] > 1).all()
+
+
+def _csv_formatted_value_by_value(values, labels=None):
+    # each value through an f-string, each label through str(): the format
+    # write_csv keeps
+    lines = [",".join([f"ch{m}" for m in range(values.shape[1])] + (["label"] if labels is not None else []))]
+    for r in range(values.shape[0]):
+        row = ",".join(f"{v:.12g}" for v in values[r])
+        if labels is not None:
+            row += f",{labels[r]}"
+        lines.append(row)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("with_labels", [False, True], ids=["values", "labels"])
+def test_write_csv_bytes_match_the_value_by_value_format(tmp_path, with_labels):
+    edge = np.array(
+        [[-0.0, 1e-300, 1e300], [123456789012345.0, -1.0 / 3.0, 0.1], [5e-324, -1.7976931348623157e308, 2.5]]
+    )
+    values = np.concatenate([edge, synthetic_sine(50, 3, seed=6)])
+    labels = np.arange(len(values), dtype=np.int64) % 3 - 1 if with_labels else None
+    path = tmp_path / "out.csv"
+    write_csv(str(path), values, labels)
+    assert path.read_bytes() == _csv_formatted_value_by_value(values, labels)
+    assert path.read_bytes().splitlines()[1] == b"-0,1e-300,1e+300" + (b",-1" if with_labels else b"")
+
+
+def test_write_csv_bytes_of_both_bundled_kinds(tmp_path):
+    path = tmp_path / "sine.csv"
+    sine = synthetic_sine(400, 3, seed=7)
+    write_csv(str(path), sine)
+    assert path.read_bytes() == _csv_formatted_value_by_value(sine)
+    values, labels = synthetic_two_class(400, 2, seed=7)
+    write_csv(str(path), values, labels)
+    assert path.read_bytes() == _csv_formatted_value_by_value(values, labels)
 
 
 # ---------------------------------------------------------------------------

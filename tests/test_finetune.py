@@ -1,5 +1,11 @@
 """Task heads, metrics arithmetic, and the fine-tuning loop."""
 
+import ctypes
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -412,3 +418,63 @@ def test_cross_channel_count_checkpoint_reuse():
     history, test_metrics = run_finetuning(fresh, ds, cfg)
     assert np.isfinite(test_metrics.mse)
 
+
+
+# Three fine-tuning steps at the acceptance shape in a fresh interpreter,
+# so that no earlier test has sized the heap; prints the growth of glibc's
+# heap (mallinfo2().arena) over the steps, in (B, N, D) float64 activations.
+_HEAP_GROWTH_SCRIPT = """
+import ctypes
+import numpy as np
+from decop import tensor as T
+from decop.config import RunConfig
+from decop.data import synthetic_sine
+from decop.finetune import add_task_head, forecast_forward
+from decop.model import ModelState
+from decop.optim import Adam, train_epoch
+from decop.rng import Rng
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+cfg = RunConfig(lookback=512, patch_size=12, stride=12, model_dim=64, windows=(2, 5),
+                batch_size=256, horizon=96)
+model = ModelState(cfg.dims(), cfg.dropout, cfg.blend_init, Rng(3))
+add_task_head(model, cfg)
+optimizer = Adam(model.finetune_parameters(), lr=cfg.lr)
+series = synthetic_sine(256 + 608, 1, seed=4)[:, 0]
+windows = np.stack([series[i : i + 608] for i in range(256)])
+x, y = windows[:, :512].copy(), windows[:, 512:].copy()
+dropout = Rng(5).child("dropout")
+
+def forward(x, y):
+    return (T.squared_error(forecast_forward(model, x, True, dropout), T.Tensor(y)),)
+
+before = mallinfo2().arena
+for _ in range(3):
+    train_epoch([(x, y)], forward, optimizer, 1)
+print((mallinfo2().arena - before) / (256 * model.dims.n_patches * 64 * 8))
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+    reason="needs glibc's mallopt and mallinfo2",
+)
+def test_fine_tuning_steps_reuse_freed_blocks_of_nearly_equal_sizes():
+    # the latent and the two padded window layouts (43, 44 and 45 patch
+    # slots) share one block size, so a freed activation serves the next
+    # request instead of staying a hole while the heap grows: the heap
+    # grows by about 7.5 activations here, and by about 9.1 when each
+    # array takes its exact size
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _HEAP_GROWTH_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    growth = float(result.stdout)
+    assert growth <= 8.0, growth

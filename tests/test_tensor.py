@@ -569,3 +569,57 @@ def test_dropout_add_matches_the_float_mask_form_bit_for_bit():
 def test_dropout_add_bits_hold_across_row_blocks(shape):
     # several blocks of rows, the last one short; rows wider than a block
     _check_dropout_add_bits(shape)
+
+
+# ---------------------------------------------------------------------------
+# block sizes of large arrays
+
+
+@pytest.mark.parametrize("batch", [256, 512])
+def test_nearly_equal_latents_take_one_block_size(batch):
+    # the latent and the two padded window layouts of the benchmark shape
+    arrays = [T._empty((batch, slots, 64)) for slots in (43, 44, 45)]
+    for a, slots in zip(arrays, (43, 44, 45)):
+        assert a.shape == (batch, slots, 64)
+        assert a.dtype == np.float64 and a.flags["C_CONTIGUOUS"]
+        assert a.base is not None and a.base.base is None
+    sizes = {a.base.nbytes for a in arrays}
+    assert len(sizes) == 1
+    # four sizes per power of two: 12 MiB and 6 MiB blocks
+    assert sizes == {(6 << 20) * batch // 256}
+
+
+def test_small_arrays_and_exact_block_sizes_are_not_padded():
+    small = T._empty((127, 1024))
+    assert small.base is None and small.shape == (127, 1024)
+    exact = T._empty((5, 1 << 17))
+    assert exact.base.nbytes == exact.nbytes == 5 << 20
+
+
+def test_sweep_adds_into_a_rounded_gradient_only_it_holds():
+    # a rounded gradient is a view of its block; when nothing else views
+    # the block, the second contribution is added into it in place
+    shape = (256, 43, 64)
+    p = Tensor(np.ones(shape), requires_grad=True)
+    stored, received = [], []
+
+    def first_contribution(g):
+        out = T._empty(g.shape)
+        np.multiply(g, 2.0, out=out)
+        stored.append(weakref.ref(out.base))
+        return (out,)
+
+    def probe(g):
+        received.append(g.base is stored[0]())
+        return (g,)
+
+    with Tape() as tape:
+        h = Tensor(p.data.copy(), requires_grad=True)
+        tape.record((p,), h, probe)
+        other = T.mul(h, Tensor(3.0))
+        y = Tensor(h.data * 2.0, requires_grad=True)
+        tape.record((h,), y, first_contribution)
+        loss = T.add(T.sum_all(y), T.sum_all(other))
+    tape.backward(loss)
+    assert received == [True]
+    assert np.array_equal(p.grad, np.full(shape, 5.0))
