@@ -22,6 +22,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import checkpoint, flops, icm
 from .checkpoint import atomic_write_text
 from .config import RunConfig, echo_config, load_config
@@ -207,22 +209,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "pretrain":
-            return cmd_pretrain(load_config(args.config))
-        if args.command == "finetune":
-            return cmd_finetune(load_config(args.config), args.checkpoint)
-        if args.command == "eval":
-            return cmd_eval(load_config(args.config), args.checkpoint)
-        if args.command == "flops":
-            return cmd_flops(load_config(args.config))
-        if args.command == "filter-viz":
-            return cmd_filter_viz(load_config(args.config), args.channel, args.out)
-        if args.command == "synth":
-            return cmd_synth(args.out, args.kind, args.rows, args.channels, args.seed)
-        raise ConfigError(f"unknown command {args.command}")
+        # a float overflow or invalid operation ends the run as one numeric
+        # error, instead of an inf or NaN that shows up later
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _run(args)
     except DecopError as exc:
         print(f"decop:error:{exc.category}: {exc}", file=sys.stderr)
         return 2 if exc.category == "config" else 3
+    except FloatingPointError as exc:
+        print(f"decop:error:numeric: float arithmetic failed: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"decop:error:io: {exc}", file=sys.stderr)
         return 4
@@ -230,6 +226,22 @@ def main(argv: list[str] | None = None) -> int:
         # a size in the config or on the command line that no memory can hold
         print(f"decop:error:config: the run's sizes do not fit in memory: {exc}", file=sys.stderr)
         return 2
+
+
+def _run(args) -> int:
+    if args.command == "pretrain":
+        return cmd_pretrain(load_config(args.config))
+    if args.command == "finetune":
+        return cmd_finetune(load_config(args.config), args.checkpoint)
+    if args.command == "eval":
+        return cmd_eval(load_config(args.config), args.checkpoint)
+    if args.command == "flops":
+        return cmd_flops(load_config(args.config))
+    if args.command == "filter-viz":
+        return cmd_filter_viz(load_config(args.config), args.channel, args.out)
+    if args.command == "synth":
+        return cmd_synth(args.out, args.kind, args.rows, args.channels, args.seed)
+    raise ConfigError(f"unknown command {args.command}")
 
 
 if __name__ == "__main__":

@@ -98,12 +98,13 @@ def _finite(raw: str) -> float:
 
 
 # one parser per field annotation of RunConfig (annotations are strings
-# under postponed evaluation); defaults come from the dataclass itself
+# under postponed evaluation); defaults come from the dataclass itself.
+# An empty item of a tuple fails to parse, like any other bad item.
 _PARSERS = {
     "int": int,
     "float": _finite,
     "str": str,
-    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",")),
     "tuple[float, float, float]": lambda raw: tuple(_finite(v) for v in raw.split(",")),
 }
 _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}

@@ -14,6 +14,7 @@ until the last block can span the whole patch axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -36,7 +37,9 @@ class DclBlock:
 
 
 def _uniform_init(rng: Rng, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
+    # math.sqrt takes any int; np.sqrt fails on one past int64 (a window of
+    # 2**63 in a config), and both round the same float the same way
+    bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform_range(-bound, bound, shape)
 
 

@@ -62,9 +62,12 @@ def forecast_forward(model: ModelState, windows: np.ndarray, train: bool, rng: R
     if "forecast_w" not in model.heads:
         raise ContractError("model has no forecast head; call add_task_head first")
     patches, stats = normalize_windows(model, windows)
-    encoded, _ = encode_patches(model, patches, train, rng)
-    b, n, d = encoded.shape
-    flat = T.reshape(T.standardize(encoded), (b, n * d))
+    b, n, _ = patches.shape
+    # the encoder's output and pre-residual go unnamed, so this frame
+    # holds neither while the head runs
+    flat = T.reshape(
+        T.standardize(encode_patches(model, patches, train, rng)[0]), (b, n * model.dims.model_dim)
+    )
     normed_pred = T.affine(flat, model.heads["forecast_w"], model.heads["forecast_b"])
     return denormalize(normed_pred, stats, "instance")
 
@@ -78,8 +81,7 @@ def classify_forward(model: ModelState, windows: np.ndarray, train: bool, rng: R
     if "classify_w" not in model.heads:
         raise ContractError("model has no classification head; call add_task_head first")
     patches, _ = normalize_windows(model, windows)
-    encoded, _ = encode_patches(model, patches, train, rng)
-    pooled = T.mean_axis(T.standardize(encoded), axis=1)
+    pooled = T.mean_axis(T.standardize(encode_patches(model, patches, train, rng)[0]), axis=1)
     return T.affine(pooled, model.heads["classify_w"], model.heads["classify_b"])
 
 

@@ -120,13 +120,16 @@ def pretrain_batch(
     both = T.concat_rows(anchor_patches, pair_patches)
     both_masks = np.concatenate([masks, masks], axis=0)
     encoded, pre = encode_patches(model, both, train, dropout_stream, both_masks)
+    diagnostics = ContrastiveDiagnostics()
+    contrastive = icm.contrastive_loss(pre, diagnostics)
+    # the alignment loss is the pre-residual's only reader, so it is not
+    # held while the reconstruction head runs
+    del pre
     preds = reconstruction_head(encoded, model.recon_w, model.recon_b)
 
     # same mask count in both halves, so the combined masked mean equals
     # the average of the two per-view reconstruction losses
     recon = recon_loss(both, preds, both_masks)
-    diagnostics = ContrastiveDiagnostics()
-    contrastive = icm.contrastive_loss(pre, diagnostics)
     return BatchOutput(
         recon, contrastive, total_loss(recon, contrastive, cfg.contrastive_weight), diagnostics
     )

@@ -187,38 +187,82 @@ class Tape:
             _run_entry(grads, *entries.pop())
 
 
-def _refs_when_only_grads_holds() -> tuple[int, int]:
-    """``sys.getrefcount`` of an array that only the ``grads`` dict holds,
-    and of the block under such an array when nothing else views it.
+def _private_refs(a) -> int:
+    """``sys.getrefcount(a)`` as read in here, if a write into ``a`` can
+    change no other array; 0 otherwise.
 
-    Read the way :func:`_run_entry` reads them: 3 and 3 on CPython 3.11,
-    fewer on an interpreter whose loads of a local borrow its reference.
+    ``a`` must be a writable ``ndarray``: not a numpy scalar, which ``+=``
+    would rebind, and not a read-only broadcast view. It must own its
+    data or view a block (from :func:`_empty`) that no other array views.
+    The count includes the references that reading ``a`` here adds, so a
+    caller compares it with the count that :func:`_measure_private_refs`
+    read at import from a call site like its own. That keeps the test
+    independent of whether the interpreter's loads of a local borrow
+    their reference.
     """
-    grads = {0: np.empty(2)[:1]}
+    if type(a) is not np.ndarray or not a.flags.writeable:
+        return 0
+    base = a.base
+    if base is not None and (
+        type(base) is not np.ndarray
+        or base.base is not None
+        or sys.getrefcount(base) != _SOLE_VIEW_REFS
+    ):
+        return 0
+    return sys.getrefcount(a)
+
+
+def _measure_private_refs() -> tuple[int, int, int, int, int]:
+    """The counts that :func:`_private_refs` reads for an array held only
+    where each of its call sites holds it.
+
+    In order: the block under a view that nothing else views; a gradient
+    stored in the sweep's dict and bound to a local; a gradient that a
+    backward rule returned, as the sweep's loop holds it; an incoming
+    gradient, as a backward rule's parameter; an array a backward rule
+    captured.
+    """
+    view = np.empty(2)[:1]
+    base = view.base
+    sole_view = sys.getrefcount(base)
+    del view, base
+    grads = {0: np.empty(1)}
     acc = grads.get(0)
-    base = acc.base
-    return sys.getrefcount(acc), sys.getrefcount(base)
+    stored = _private_refs(acc)
+    for _, g in zip((0,), (np.empty(1),)):
+        returned = _private_refs(g)
+    passed = (lambda g: _private_refs(g))(np.empty(1))
+    kept = np.empty(1)
+    captured = (lambda: _private_refs(kept))()
+    return sole_view, stored, returned, passed, captured
 
 
-_SOLE_OWNER_REFS, _SOLE_VIEW_REFS = _refs_when_only_grads_holds()
+(
+    _SOLE_VIEW_REFS,
+    _STORED_REFS,
+    _RETURNED_REFS,
+    _PASSED_REFS,
+    _CAPTURED_REFS,
+) = _measure_private_refs()
 
 
 def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn) -> None:
     """Apply one entry's backward rule and accumulate what it returns.
 
     A function of its own, so that none of its arrays stays bound while
-    the next entry runs. Backward rules may return views of their input
-    or one array for two inputs, so a stored gradient is added into in
-    place only when the sweep owns it outright: an ``ndarray`` (a numpy
-    scalar would rebind ``acc`` instead) with the incoming shape,
-    referenced by nothing but ``grads``, that owns its data or views a
-    block (from :func:`_empty`) that no other array views. Otherwise the
-    sum goes into a new array.
+    the next entry runs. The incoming gradient is popped straight into
+    the rule, so a rule may write into it when nothing else holds it.
+    Rules may return views of their input, read-only broadcast views, or
+    one array for two inputs, so a second contribution is added in place
+    only into an array the sweep owns outright (see :func:`_private_refs`):
+    into the stored gradient, else into the returned one. Otherwise the
+    sum goes into a new array. Either way the sum is ``stored + returned``
+    element for element, and the addition commutes, so the bits are the
+    same.
     """
-    g_out = grads.pop(node, None)
-    if g_out is None:
+    if node not in grads:
         return
-    for ref, g in zip(refs, backward_fn(g_out)):
+    for ref, g in zip(refs, backward_fn(grads.pop(node))):
         if g is None or ref is None:
             continue
         if isinstance(ref, Tensor):
@@ -230,18 +274,14 @@ def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn
         if acc is None:
             grads[ref] = g
             continue
-        if (
-            type(acc) is np.ndarray
-            and acc.shape == g.shape
-            and sys.getrefcount(acc) == _SOLE_OWNER_REFS
-        ):
-            base = acc.base
-            if base is None or (
-                type(base) is np.ndarray
-                and base.base is None
-                and sys.getrefcount(base) == _SOLE_VIEW_REFS
-            ):
+        if acc.shape == g.shape:
+            if _private_refs(acc) == _STORED_REFS:
                 acc += g
+                continue
+            # a returned view of another layout would carry that layout on
+            if g.flags.c_contiguous and _private_refs(g) == _RETURNED_REFS:
+                g += acc
+                grads[ref] = g
                 continue
         total = _empty(np.broadcast_shapes(acc.shape, g.shape))
         np.add(acc, g, out=total)
@@ -465,16 +505,13 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 # reductions
 
 
-def _broadcast_copy(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``g`` broadcast to ``shape``, written into an array of its own."""
-    full = _empty(shape)
-    np.copyto(full, g)
-    return full
+# A reduction's backward returns a read-only view of its small incoming
+# gradient broadcast to the input's shape; nothing full-size is written.
 
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
-    return _record((a,), np.asarray(a.data.sum()), lambda g: (_broadcast_copy(g, shape),))
+    return _record((a,), np.asarray(a.data.sum()), lambda g: (np.broadcast_to(g, shape),))
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -483,18 +520,14 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (_broadcast_copy(g, shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _record((a,), a.data.sum(axis=axis, keepdims=keepdims), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
     shape, n = a.shape, a.size
-
-    def backward(g):
-        return (_broadcast_copy(g / n, shape),)
-
-    return _record((a,), np.asarray(a.data.mean()), backward)
+    return _record((a,), np.asarray(a.data.mean()), lambda g: (np.broadcast_to(g / n, shape),))
 
 
 def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -503,7 +536,7 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (_broadcast_copy(g / n, shape),)
+        return (np.broadcast_to(g / n, shape),)
 
     return _record((a,), a.data.mean(axis=axis, keepdims=keepdims), backward)
 
@@ -518,6 +551,9 @@ def standardize(a: Tensor) -> Tensor:
     std, and builds the input gradient in one buffer::
 
         dx = inv_std * (g - mean(g) - y * mean(g * y))
+
+    That buffer is ``y``'s own array when nothing but the rule holds it
+    any more, since ``y`` is read only before the first write.
     """
     d = a.shape[-1]
     out = _empty(a.shape)
@@ -527,7 +563,7 @@ def standardize(a: Tensor) -> Tensor:
     out *= inv_std
 
     def backward(g):
-        dx = _empty(g.shape)
+        dx = out if _private_refs(out) == _CAPTURED_REFS else _empty(g.shape)
         np.multiply(out, np.einsum("...i,...i->...", g, out)[..., None] / -d, out=dx)
         dx += g
         dx -= np.einsum("...i->...", g)[..., None] / d
@@ -585,7 +621,10 @@ def window_partition(z: Tensor, window: int) -> Tensor:
     """Group patches into windows: (B, N, D) -> (B * ceil(N/W), W * D).
 
     The patches are copied once into the output, whose patch axis is
-    zero-padded up to a multiple of the window size.
+    zero-padded up to a multiple of the window size. A recorded input's
+    ``data`` then becomes the output's first ``n`` patch slots: the same
+    values, so the input's own array is freed unless something else holds
+    it. A leaf's ``data`` is never replaced.
     """
     if z.data.ndim != 3:
         raise DimensionError("window_partition", z.shape, (window,))
@@ -596,24 +635,43 @@ def window_partition(z: Tensor, window: int) -> Tensor:
     padded[:, :n] = z.data
     padded[:, n:] = 0.0
     padded_shape = padded.shape
-    return _record((z,), out, lambda g: (g.reshape(padded_shape)[:, :n],))
+    windows = _record((z,), out, lambda g: (g.reshape(padded_shape)[:, :n],))
+    if z.node is not None and windows.node is not None:
+        z.data = padded[:, :n]
+    return windows
 
 
 def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
     """Inverse of :func:`window_partition`: the first ``n`` patches, as a view.
 
     Backward writes the gradient into one buffer whose padded patches are
-    zero.
+    zero. That buffer is the incoming gradient's own block when nothing
+    else holds the gradient and the block has room for the padded layout
+    (block sizes are rounded up, see :func:`_empty`); otherwise it is a
+    new array.
     """
     if z.size % (batch * dim) or z.size // (batch * dim) < n:
         raise DimensionError("window_merge", z.shape, (batch, n, dim))
     full = z.data.reshape(batch, -1, dim)
-    full_shape, flat_shape = full.shape, z.shape
+    full_shape, flat_shape, size = full.shape, z.shape, z.size
 
     def backward(g):
-        g_full = _empty(full_shape)
-        g_full[:, :n] = g
-        g_full[:, n:] = 0.0
+        if n == full_shape[1]:
+            # no padded slots: the gradient already has the input's layout
+            return (g.reshape(flat_shape),)
+        block = g.base if _private_refs(g) == _PASSED_REFS and g.flags.c_contiguous else None
+        if block is not None and block.nbytes >= 8 * size and g.ctypes.data == block.ctypes.data:
+            g_full = block[:size].reshape(full_shape)
+            # batch rows move to their padded places last row first: a
+            # row's new place starts past every earlier row's old one
+            rows = max(1, BLOCK // (full_shape[1] * dim))
+            for s in reversed(list(_blocks(batch, rows))):
+                g_full[s, :n] = g[s]
+                g_full[s, n:] = 0.0
+        else:
+            g_full = _empty(full_shape)
+            g_full[:, :n] = g
+            g_full[:, n:] = 0.0
         return (g_full.reshape(flat_shape),)
 
     return _record((z,), full[:, :n], backward)

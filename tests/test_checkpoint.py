@@ -237,6 +237,9 @@ def test_bad_value_is_named():
         "split_ratios = 0.5,0.2,0.2",
         "horizon = 0",
         "windows =",
+        "windows = 2,,5",
+        "windows = ,2,5",
+        "windows = 2,5,",
         "windows = 0",
         "learner = attention",
         "dropout = 1.0",

@@ -1,12 +1,15 @@
 """End-to-end command-line runs on small synthetic data."""
 
 import os
+import random
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from decop.cli import main
+from decop.config import RunConfig
 from decop.data import synthetic_sine, write_csv
 
 
@@ -535,9 +538,10 @@ def test_empty_train_split_is_one_data_error(workspace, capsys, command, case):
         ("pretrain", {"model_dim": 2**45}),
         ("pretrain", {"lookback": 2**50}),
         ("pretrain", {"windows": f"1,{2**40}"}),
+        ("pretrain", {"windows": f"1,{2**63}"}),
         ("finetune", {"horizon": 2**45}),
     ],
-    ids=["model-dim", "lookback", "window", "horizon"],
+    ids=["model-dim", "lookback", "window", "window-past-int64", "horizon"],
 )
 def test_size_that_cannot_be_allocated_is_one_config_error(workspace, capsys, command, overrides):
     tmp_path, data = workspace
@@ -546,6 +550,26 @@ def test_size_that_cannot_be_allocated_is_one_config_error(workspace, capsys, co
     assert "do not fit in memory" in _assert_one_error_line(code, capsys, "config")
     assert code == 2
     assert not (tmp_path / "too-big").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("pretrain", {"lr": "1e308"}),
+        ("pretrain", {"contrastive_weight": "1e308"}),
+        ("finetune", {"blend_init": "-1e308"}),
+    ],
+    ids=["lr", "contrastive-weight", "blend-init"],
+)
+def test_float_overflow_in_a_run_is_one_numeric_error(workspace, capsys, command, overrides):
+    # finite but huge values overflow float64 in the first step; the run
+    # stops there, without a numpy warning or an inf carried on
+    tmp_path, data = workspace
+    cfg = _config(tmp_path, data, "overflow", **overrides)
+    code = main([command, "--config", cfg])
+    assert "overflow" in _assert_one_error_line(code, capsys, "numeric")
+    assert code == 3
+    assert not (tmp_path / "overflow").exists()
 
 
 @pytest.mark.parametrize(
@@ -559,3 +583,109 @@ def test_synth_size_that_cannot_be_allocated_is_one_config_error(tmp_path, capsy
     assert "do not fit in memory" in _assert_one_error_line(code, capsys, "config")
     assert code == 2
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# a seeded sweep of config-text mutations through the command line
+
+# both paths are relative to the sweep's directory, so a truncated dataset
+# or out_dir line still names a place inside it
+_SWEEP_FIELDS = {
+    "dataset": "toy.csv", "dataset_name": "toy", "lookback": "48", "horizon": "12",
+    "patch_size": "8", "stride": "8", "model_dim": "8", "windows": "1,2", "epochs": "1",
+    "batch_size": "32", "lr": "1e-3", "dropout": "0.1", "keep_fraction": "0.3",
+    "contrastive_weight": "0.1", "blend_init": "0.01", "mask_ratio": "0.4",
+    "split_ratios": "0.6,0.2,0.2", "patience": "2", "seed": "11", "out_dir": "sweep",
+}
+_SWEEP_TUPLES = ("windows", "split_ratios")
+_SWEEP_NUMBERS = [k for k in _SWEEP_FIELDS if k not in ("dataset", "dataset_name", "out_dir")]
+_SWEEP_INTS = {f.name for f in fields(RunConfig) if f.type in ("int", "tuple[int, ...]")}
+# (for an int field, for a float field); every huge size is past what a
+# 64-bit process can map, so none is allocated
+_SWEEP_VALUES = {
+    "huge": (("1" + "0" * 30, str(2**63)), ("1e308", "-1e308", "1e300")),
+    "tiny": (("0", "-1"), ("5e-324", "1e-300", "0", "-0.0")),
+    "not-a-number": (("abc", "1.5", "0x10", ""), ("abc", "1.2.3", "nan", "-inf", "")),
+}
+
+
+def _with_value(lines, key, value):
+    return [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+
+
+def _truncated_line(rng, lines):
+    i = rng.randrange(len(lines))
+    return lines[:i] + [lines[i][: rng.randrange(len(lines[i]))]] + lines[i + 1 :], False
+
+
+def _duplicated_line(rng, lines):
+    i = rng.randrange(len(lines))
+    return lines + [lines[i]], True
+
+
+def _unknown_key(rng, lines):
+    return lines + [f"{rng.choice(['turbo', 'Lookback', 'model-dim', 'window', 'lr2'])} = 1"], True
+
+
+def _empty_tuple_item(rng, lines):
+    key = rng.choice(_SWEEP_TUPLES)
+    items = _SWEEP_FIELDS[key].split(",")
+    items.insert(rng.randrange(len(items) + 1), rng.choice(["", " "]))
+    return _with_value(lines, key, ",".join(items)), True
+
+
+def _extra_tuple_item(rng, lines):
+    key = rng.choice(_SWEEP_TUPLES)
+    return _with_value(lines, key, f"{_SWEEP_FIELDS[key]},{rng.choice(['2', '3', '0', '0.0'])}"), False
+
+
+def _number(kind):
+    def mutate(rng, lines):
+        # a huge epoch count is a long run, not a bad input
+        key = rng.choice([k for k in _SWEEP_NUMBERS if not (kind == "huge" and k == "epochs")])
+        value = rng.choice(_SWEEP_VALUES[kind][key not in _SWEEP_INTS])
+        if key in _SWEEP_TUPLES:
+            items = _SWEEP_FIELDS[key].split(",")
+            items[rng.randrange(len(items))] = value
+            value = ",".join(items)
+        return _with_value(lines, key, value), False
+
+    mutate.__name__ = f"_{kind}_number"
+    return mutate
+
+
+_SWEEP_MUTATIONS = (
+    _truncated_line, _duplicated_line, _unknown_key, _empty_tuple_item, _extra_tuple_item,
+    _number("huge"), _number("tiny"), _number("not-a-number"),
+)
+
+
+def test_config_mutation_sweep_ends_in_exit_0_or_one_error_line(tmp_path, monkeypatch, capsys):
+    # every mutated config ends in exit 0 with nothing on stderr, or in
+    # exactly one decop:error: line and no traceback; a duplicated line, an
+    # unknown key and an empty tuple item are each a config error
+    monkeypatch.chdir(tmp_path)
+    write_csv("toy.csv", synthetic_sine(420, 2, seed=5, periods=(12.0, 18.0)))
+    base = [f"{key} = {value}" for key, value in _SWEEP_FIELDS.items()]
+    rng = random.Random(20261019)
+    problems = []
+    for case in range(120):
+        mutate = _SWEEP_MUTATIONS[case % len(_SWEEP_MUTATIONS)]
+        lines, must_fail = mutate(rng, base)
+        command = rng.choice(["pretrain", "finetune"])
+        with open("case.cfg", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            code = main([command, "--config", "case.cfg"])
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code == 0:
+            ok = err == "" and not must_fail
+        else:
+            ok = isinstance(code, int) and err.count("\n") == 1 and err.startswith("decop:error:")
+            ok = ok and (not must_fail or (code == 2 and err.startswith("decop:error:config: ")))
+        if not ok:
+            changed = [line for line in lines if line not in base] or lines[-1:]
+            problems.append(f"{case} {mutate.__name__} {command} {changed}: exit {code}, stderr {err!r}")
+    assert not problems, "\n".join(problems)

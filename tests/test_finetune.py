@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from decop.config import RunConfig
 from decop.data import Dataset, sample_windows, synthetic_sine, synthetic_two_class
 from decop.errors import ConfigError, ContractError, SizeError
 from decop.finetune import (
+    add_task_head,
     classify_forward,
     compute_metrics,
     cross_entropy,
@@ -24,7 +26,7 @@ from decop.finetune import (
     run_finetuning,
 )
 from decop.model import ModelDims, ModelState, encode_patches, normalize_windows
-from decop.optim import Adam
+from decop.optim import Adam, train_epoch
 from decop.rng import Rng
 from decop.tensor import Tensor
 
@@ -478,3 +480,33 @@ def test_fine_tuning_steps_reuse_freed_blocks_of_nearly_equal_sizes():
     )
     growth = float(result.stdout)
     assert growth <= 8.0, growth
+
+
+def test_warm_forecast_step_peak_memory_is_bounded_in_activations():
+    # at the acceptance shape, batch 256: no frame holds the encoder's
+    # output across the head, standardize builds its input gradient in its
+    # own output's block, and the encoder's in-place rules apply as in
+    # pretraining, so the step peaks near 5.9 (B, N, D) activations, not 6.7
+    cfg = RunConfig(
+        lookback=512, patch_size=12, stride=12, model_dim=64, windows=(2, 5), batch_size=256, horizon=96
+    )
+    model = ModelState(cfg.dims(), cfg.dropout, cfg.blend_init, Rng(3))
+    add_task_head(model, cfg)
+    optimizer = Adam(model.finetune_parameters(), lr=cfg.lr)
+    series = synthetic_sine(256 + 608, 1, seed=4)[:, 0]
+    windows = np.stack([series[i : i + 608] for i in range(256)])
+    x, y = windows[:, :512].copy(), windows[:, 512:].copy()
+    dropout = Rng(5).child("dropout")
+
+    def forward(x, y):
+        return (T.squared_error(forecast_forward(model, x, True, dropout), Tensor(y)),)
+
+    train_epoch([(x, y)], forward, optimizer, 1)
+    tracemalloc.start()
+    try:
+        train_epoch([(x, y)], forward, optimizer, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activation = 256 * model.dims.n_patches * model.dims.model_dim * 8
+    assert peak <= 6.2 * activation, peak / activation

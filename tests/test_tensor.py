@@ -623,3 +623,158 @@ def test_sweep_adds_into_a_rounded_gradient_only_it_holds():
     tape.backward(loss)
     assert received == [True]
     assert np.array_equal(p.grad, np.full(shape, 5.0))
+
+
+# ---------------------------------------------------------------------------
+# rules that write into an array only the sweep or the rule holds
+
+
+def _broadcast_then_returned(keep_returned):
+    """h gets a read-only broadcast from mean_axis, then an array that a rule
+    returns; returns p's gradient and whether the sum went into that array."""
+    rng = Rng(fnv1a64("broadcast-then-returned"))
+    p = Tensor(rng.normal((4, 5, 3)), requires_grad=True)
+    w = Tensor(rng.normal((4, 3)))
+    k = rng.normal((4, 5, 3))
+    returned, held, received = [], [], []
+
+    def second_use(g):
+        out = g * k
+        returned.append(weakref.ref(out))
+        if keep_returned:
+            held.append(out)
+        return (out,)
+
+    def probe(g):
+        received.append(g is returned[0]())
+        return (g,)
+
+    with Tape() as tape:
+        h = Tensor(p.data.copy(), requires_grad=True)
+        tape.record((p,), h, probe)
+        y = Tensor(h.data.copy(), requires_grad=True)
+        tape.record((h,), y, second_use)
+        loss = T.add(T.sum_all(y), T.sum_all(T.mul(T.mean_axis(h, axis=1), w)))
+    tape.backward(loss)
+    expected = np.broadcast_to((w.data / 5)[:, None, :], k.shape) + k
+    assert np.array_equal(p.grad, expected)
+    return p.grad, received == [True]
+
+
+def test_stored_broadcast_is_added_into_a_returned_gradient_only_the_sweep_holds():
+    # the stored broadcast is read-only, so the sum goes into the returned
+    # array when nothing else holds it, and into a new array otherwise;
+    # both sums have the same bits
+    in_place, into_returned = _broadcast_then_returned(keep_returned=False)
+    allocated, into_held = _broadcast_then_returned(keep_returned=True)
+    assert into_returned and not into_held
+    assert np.array_equal(in_place.view(np.uint64), allocated.view(np.uint64))
+
+
+def test_gradient_handed_to_two_inputs_is_never_added_into():
+    # add's backward hands u and v one array while each already holds a
+    # read-only broadcast from mean_axis; adding u's broadcast into that
+    # array would change v's gradient too
+    rng = Rng(fnv1a64("shared-incoming"))
+    x = Tensor(rng.normal((3, 4, 2)), requires_grad=True)
+    w = Tensor(rng.normal((3, 4, 2)), requires_grad=True)
+    k = Tensor(rng.normal((3, 4, 2)))
+    c = Tensor(rng.normal((3, 2)))
+
+    def build():
+        u = T.mul(x, x)
+        v = T.mul(w, w)
+        y = T.add(u, v)
+        pooled = T.add(T.mean_axis(u, axis=1), T.mul(T.mean_axis(v, axis=1), c))
+        return T.add(T.sum_all(T.mul(y, k)), T.sum_all(T.mul(pooled, c)))
+
+    _fd_check("shared_incoming", build, [x, w])
+
+
+@pytest.mark.parametrize(
+    "batch, n, dim, window, room",
+    [(64, 43, 64, 5, True), (1024, 4, 32, 3, False)],
+    ids=["room", "no-room"],
+)
+def test_window_merge_pads_a_gradient_it_owns_in_place_with_the_same_bits(batch, n, dim, window, room):
+    # 43 patches in windows of 5 take 45 slots, which fit the incoming
+    # gradient's rounded block; 11 batch rows move per slice, so the 64 rows
+    # take six slices, the last one short. A 1 MiB gradient takes an exact
+    # 1 MiB block, which cannot hold its padded layout of 6 slots for 4.
+    slots = -(-n // window) * window
+    z = Tensor(np.zeros((batch * slots // window, window * dim)), requires_grad=True)
+    with Tape() as tape:
+        T.window_merge(z, batch, n, dim)
+    backward = tape.entries[-1][2]
+    values = Rng(fnv1a64("merge-in-place")).normal((batch, n, dim))
+    blocks = []
+
+    def gradient():
+        g = T._empty(values.shape)
+        np.copyto(g, values)
+        blocks.append(weakref.ref(g.base))
+        return g
+
+    (in_place,) = backward(gradient())
+    held = gradient()
+    (allocated,) = backward(held)
+    assert (in_place.base is blocks[0]()) == room
+    assert allocated.base is not blocks[1]()
+    assert np.array_equal(held, values)
+    expected = np.zeros((batch, slots, dim))
+    expected[:, :n] = values
+    for g_full in (in_place, allocated):
+        assert np.array_equal(g_full.reshape(expected.shape).view(np.uint64), expected.view(np.uint64))
+
+
+def _standardize_gradient(keep_output):
+    """The input gradient of standardize, whether it was built in the
+    output's array, and the output as the caller kept it (or None)."""
+    rng = Rng(fnv1a64("standardize-in-place"))
+    p = Tensor(rng.normal((4, 6, 8)) * 2.0 + 0.5, requires_grad=True)
+    w = Tensor(rng.normal((4, 6, 8)))
+    received = []
+
+    def probe(g):
+        received.append(g)
+        return (g,)
+
+    with Tape() as tape:
+        h = Tensor(p.data.copy(), requires_grad=True)
+        tape.record((p,), h, probe)
+        y = T.standardize(h)
+        output, values = weakref.ref(y.data), y.data.copy()
+        loss = T.sum_all(T.mul(y, w))
+        kept = y if keep_output else None
+        del y
+    tape.backward(loss)
+    if kept is not None:
+        assert np.array_equal(kept.data.view(np.uint64), values.view(np.uint64))
+    return p.grad, received[0] is output(), kept
+
+
+def test_standardize_builds_its_input_gradient_in_its_output_only_when_no_caller_holds_it():
+    in_place, into_output, _ = _standardize_gradient(keep_output=False)
+    allocated, into_kept, kept = _standardize_gradient(keep_output=True)
+    assert into_output and not into_kept and kept is not None
+    assert np.array_equal(in_place.view(np.uint64), allocated.view(np.uint64))
+
+
+def test_window_partition_replaces_the_data_of_a_recorded_input_only():
+    rng = Rng(fnv1a64("partition-data"))
+    leaf = Tensor(rng.normal((2, 5, 3)), requires_grad=True)
+    data = leaf.data
+    with Tape():
+        T.window_partition(leaf, 2)
+        assert leaf.data is data and leaf.data.flags.c_contiguous
+        z = T.mul(leaf, Tensor(2.0))
+        own, values = weakref.ref(z.data), z.data.copy()
+        windows = T.window_partition(z, 2)
+        # the input's values now live in the output's first 5 of 6 slots
+        assert own() is None
+        assert np.array_equal(z.data, values) and np.shares_memory(z.data, windows.data)
+    # without a tape nothing is recorded, and no data is replaced
+    z = T.mul(leaf, Tensor(2.0))
+    data = z.data
+    T.window_partition(z, 2)
+    assert z.data is data
