@@ -87,6 +87,9 @@ class RunConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.learner not in ("linear", "mlp"):
             raise ConfigError(f"learner must be linear or mlp, got '{self.learner}'")
+        # an empty out_dir would put a run's files in the working directory
+        if not self.out_dir.strip():
+            raise ConfigError("out_dir must name a directory, got an empty value")
         return self
 
 

@@ -446,13 +446,56 @@ def gelu(a: Tensor) -> Tensor:
 # linear algebra and structure
 
 
+# numpy hands a row-major ``a @ b`` to OpenBLAS as the column-major product
+# ``bᵀ·aᵀ``, so ``a`` is the operand that dgemm packs, and OpenBLAS packs
+# all of it into per-thread buffers whose touched pages stay resident for
+# the life of the process. A product whose ``a`` holds more than two of
+# these runs in row slices of about this many bytes of ``a`` each.
+_PACK_BYTES = 1 << 20
+# OpenBLAS runs a product of at most this many multiply-accumulates
+# (rows * K * N) through its small-matrix kernel, whose sums differ from
+# the blocked kernel's in the last bit for some shapes (a slice of 1,302
+# rows of (64, 12) does; one of 1,303 does not), so every slice stays
+# above it.
+_SMALL_KERNEL_MACS = 1_000_000
+# Each call packs all of ``b`` again, which costs about as much as a few
+# dozen rows of the product, so a slice keeps at least this many rows. In
+# slices of 43 rows, the forecast head's (256, 2752) @ (2752, 96) took a
+# quarter to a half longer than whole.
+_MIN_SLICE_ROWS = 512
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``np.matmul(a, b, out=out)``, in nearly equal slices of ``a``'s rows.
+
+    An output row reads only its own row of ``a``, and every slice runs
+    OpenBLAS's blocked kernel, so the bits are those of the whole product.
+    A one-column product is a matrix-vector product, whose bits depend on
+    the row count, so it stays whole.
+    """
+    rows, inner = a.shape
+    cols = b.shape[1]
+    slices = 1
+    if 8 * rows * inner > 2 * _PACK_BYTES and cols > 1:
+        fewest_rows = max(_MIN_SLICE_ROWS, _SMALL_KERNEL_MACS // (inner * cols) + 1)
+        slices = max(1, min(-(-8 * rows * inner // _PACK_BYTES), rows // fewest_rows))
+    for i in range(slices):
+        s = slice(rows * i // slices, rows * (i + 1) // slices)
+        np.matmul(a[s], b, out=out[s])
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused x @ w + b for a 2D input and a row-vector bias."""
+    """Fused x @ w + b for a 2D input and a row-vector bias.
+
+    The input and the incoming gradient reach OpenBLAS in row slices (see
+    :func:`_matmul_rows`). The weight gradient sums over rows, so slicing
+    it would change its bits; it stays one product.
+    """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError("affine", x.shape, w.shape, b.shape)
     xd, wd = x.data, w.data
     out = _empty((xd.shape[0], wd.shape[1]))
-    np.matmul(xd, wd, out=out)
+    _matmul_rows(xd, wd, out)
     out += b.data
 
     def backward(g):
@@ -461,7 +504,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gw = xd.T @ g
         xd = None
         gx = _empty((g.shape[0], wd.shape[0]))
-        np.matmul(g, wd.T, out=gx)
+        _matmul_rows(g, wd.T, gx)
         return gx, gw, g.sum(axis=0)
 
     return _record((x, w, b), out, backward)

@@ -2,6 +2,7 @@
 
 import os
 import random
+import shutil
 import warnings
 from dataclasses import fields
 
@@ -10,7 +11,7 @@ import pytest
 
 from decop.cli import main
 from decop.config import RunConfig
-from decop.data import synthetic_sine, write_csv
+from decop.data import synthetic_sine, synthetic_two_class, write_csv
 
 
 @pytest.fixture
@@ -324,6 +325,20 @@ def test_data_error_leaves_no_out_dir(tmp_path, capsys, command):
     err = _assert_one_error_line(main([command, "--config", cfg]), capsys, "data")
     assert "split 'train' has 84 rows" in err
     assert not (tmp_path / "short").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_empty_out_dir_is_one_config_error_and_writes_nothing(workspace, monkeypatch, capsys, command):
+    # an empty out_dir would put the checkpoints, metrics CSVs and
+    # config_echo.txt into the working directory
+    tmp_path, data = workspace
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    cfg = _config(tmp_path, data, "empty-out", out_dir="", epochs=1)
+    err = _assert_one_error_line(main([command, "--config", cfg]), capsys, "config")
+    assert "out_dir" in err
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
@@ -688,4 +703,136 @@ def test_config_mutation_sweep_ends_in_exit_0_or_one_error_line(tmp_path, monkey
         if not ok:
             changed = [line for line in lines if line not in base] or lines[-1:]
             problems.append(f"{case} {mutate.__name__} {command} {changed}: exit {code}, stderr {err!r}")
+    assert not problems, "\n".join(problems)
+
+
+# ---------------------------------------------------------------------------
+# a seeded sweep of CSV-text mutations through the command line
+
+_CSV_CELLS = {
+    "huge": ("1e308", "-1e308", "1e200", "9.9e307", "1" + "0" * 400),
+    "tiny": ("5e-324", "-5e-324", "1e-300", "-0.0", "0"),
+    "not-a-number": ("abc", "", " ", "1.2.3", "nan", "-inf", "1e400", "0x10", "\ufeff1.5", "1e"),
+}
+
+
+def _csv_truncated_row(rng, lines):
+    i = rng.randrange(1, len(lines))
+    return lines[:i] + [lines[i][: rng.randrange(len(lines[i]))]] + lines[i + 1 :], False
+
+
+def _csv_truncated_file(rng, lines):
+    text = "\n".join(lines)
+    return text[: rng.randrange(len(text))].split("\n"), False
+
+
+def _csv_duplicated_row(rng, lines):
+    # the header again as a row, or a data row twice
+    i = rng.randrange(len(lines))
+    at = rng.randrange(1, len(lines) + 1)
+    return lines[:at] + [lines[i]] + lines[at:], i == 0
+
+
+def _csv_duplicated_name(rng, lines):
+    names = lines[0].split(",")
+    i, j = rng.sample(range(len(names)), 2)
+    names[j] = rng.choice([names[i], names[i].upper(), f" {names[i]} "])
+    return [",".join(names)] + lines[1:], True
+
+
+def _csv_renamed_column(rng, lines):
+    names = lines[0].split(",")
+    names[rng.randrange(len(names))] = rng.choice(["", "date", "label", "Label", "x y", "ch9", "é"])
+    return [",".join(names)] + lines[1:], False
+
+
+def _csv_byte_order_mark(rng, lines):
+    # a leading mark is ignored; one inside the file is part of a cell
+    i = rng.choice([0, rng.randrange(1, len(lines))])
+    return lines[:i] + ["\ufeff" + lines[i]] + lines[i + 1 :], i > 0
+
+
+def _csv_line_endings(rng, lines):
+    # CRLF endings and blank lines are allowed
+    i = rng.randrange(1, len(lines) + 1)
+    return rng.choice([[line + "\r" for line in lines], lines[:i] + ["", ""] + lines[i:]]), False
+
+
+def _csv_cell(kind):
+    def mutate(rng, lines):
+        i = rng.randrange(1, len(lines))
+        cells = lines[i].split(",")
+        cells[rng.randrange(len(cells))] = rng.choice(_CSV_CELLS[kind])
+        return lines[:i] + [",".join(cells)] + lines[i + 1 :], False
+
+    mutate.__name__ = f"_csv_{kind}_cell"
+    return mutate
+
+
+_CSV_MUTATIONS = (
+    _csv_truncated_row, _csv_truncated_file, _csv_duplicated_row, _csv_duplicated_name,
+    _csv_renamed_column, _csv_byte_order_mark, _csv_line_endings, _csv_cell("huge"),
+    _csv_cell("tiny"), _csv_cell("not-a-number"),
+)
+
+
+def _non_finite_outputs(out_dir) -> list[str]:
+    """Numbers in a run's metrics CSVs and report that are not finite."""
+    bad = []
+    for path in sorted(out_dir.glob("*.csv")) + sorted(out_dir.glob("report.txt")):
+        for token in path.read_text(encoding="utf-8").replace("=", ",").replace("\n", ",").split(","):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            if not np.isfinite(value):
+                bad.append(f"{path.name}: {token}")
+    return bad
+
+
+def test_csv_mutation_sweep_ends_in_exit_0_or_one_error_line(tmp_path, monkeypatch, capsys):
+    # every mutated CSV ends in exit 0 with finite outputs and nothing on
+    # stderr, or in exactly one decop:error: line, with no traceback and no
+    # warning; a repeated column name and a mark inside the file are each a
+    # data error
+    monkeypatch.chdir(tmp_path)
+    sine, two_class = tmp_path / "sine.csv", tmp_path / "two-class.csv"
+    write_csv(str(sine), synthetic_sine(420, 2, seed=5, periods=(12.0, 18.0)))
+    write_csv(str(two_class), *synthetic_two_class(420, 2, seed=5, segment=32))
+    base = {path: path.read_text(encoding="utf-8").splitlines() for path in (sine, two_class)}
+    runs = [
+        (command, source, tmp_path / name, _config(tmp_path, "case.csv", name, epochs=1, **overrides))
+        for command, source, name, overrides in (
+            ("pretrain", sine, "pretrain", {}),
+            ("finetune", sine, "forecast", {}),
+            ("finetune", two_class, "classify", {"task": "classify", "classes": 2, "horizon": 0}),
+        )
+    ]
+    rng = random.Random(20261019)
+    problems = []
+    for case in range(120):
+        mutate = _CSV_MUTATIONS[case % len(_CSV_MUTATIONS)]
+        command, source, out_dir, cfg = runs[case // len(_CSV_MUTATIONS) % len(runs)]
+        lines, must_fail = mutate(rng, base[source])
+        (tmp_path / "case.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        shutil.rmtree(out_dir, ignore_errors=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main([command, "--config", cfg])
+            except Exception as exc:
+                code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code == 0:
+            ok = err == "" and not must_fail and not _non_finite_outputs(out_dir)
+        else:
+            ok = isinstance(code, int) and err.count("\n") == 1 and err.startswith("decop:error:")
+            ok = ok and (not must_fail or err.startswith("decop:error:data: "))
+        if not ok or caught:
+            changed = [line for line in lines if line not in base[source]][:2] or lines[-1:]
+            problems.append(
+                f"{case} {mutate.__name__} {command} {source.name} {changed}: exit {code}, "
+                f"stderr {err!r}, warnings {[str(w.message) for w in caught]}, "
+                f"non-finite {_non_finite_outputs(out_dir) if code == 0 else []}"
+            )
     assert not problems, "\n".join(problems)

@@ -778,3 +778,71 @@ def test_window_partition_replaces_the_data_of_a_recorded_input_only():
     data = z.data
     T.window_partition(z, 2)
     assert z.data is data
+
+
+# ---------------------------------------------------------------------------
+# the affine's products in row slices
+
+# (rows, fan_in, fan_out): the benchmark's affines on full batches of
+# pretrain-sine and finetune-forecast, on the 187-window val batch and on
+# the 79-window train batch; then the first row count whose 64-wide input
+# is sliced (three slices of 1,365 or 1,366 rows), and a (64, 2) product
+# that stays whole because two slices of it would fall to the
+# small-matrix kernel (one slice of 7,812 rows would).
+_AFFINE_SHAPES = [
+    *[(rows, k, n) for rows in (22016, 11008, 16082, 6794) for k, n in ((12, 64), (64, 12))],
+    *[(rows, 128, 128) for rows in (11264, 5632, 8228, 3476)],
+    *[(rows, 320, 320) for rows in (4608, 2304, 3366, 1422)],
+    (4097, 64, 12),
+    (15625, 64, 2),
+]
+
+
+@pytest.mark.parametrize("rows, fan_in, fan_out", _AFFINE_SHAPES)
+def test_affine_in_row_slices_has_the_bits_of_whole_products(rows, fan_in, fan_out):
+    rng = Rng(fnv1a64("affine-slices"))
+    x = Tensor(rng.normal((rows, fan_in)), requires_grad=True)
+    w = Tensor(rng.normal((fan_in, fan_out)), requires_grad=True)
+    b = Tensor(rng.normal(fan_out), requires_grad=True)
+    g = rng.normal((rows, fan_out))
+    with Tape() as tape:
+        out = T.affine(x, w, b)
+    gx, gw, _ = tape.entries[-1][2](g)
+    for got, want in ((out.data, x.data @ w.data + b.data), (gx, g @ w.data.T), (gw, x.data.T @ g)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "rows, fan_in, fan_out, forward, backward",
+    [
+        (22016, 64, 12, 11, 3), (22016, 12, 64, 3, 11), (1024, 256, 256, 1, 1),
+        (256, 2752, 96, 1, 1), (40000, 64, 1, 1, 1),
+    ],
+    ids=["head", "projection", "small", "few-rows", "one-column"],
+)
+def test_affine_hands_openblas_about_a_mebibyte_of_rows_per_product(
+    monkeypatch, rows, fan_in, fan_out, forward, backward
+):
+    # a 2 MiB operand, as in classify-mlp, stays whole, and so do the
+    # forecast head's 256 rows and a matrix-vector product; every sliced
+    # call stays above the small-matrix kernel
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, out):
+        calls.append(a.shape)
+        return matmul(a, b, out=out)
+
+    x = Tensor(np.ones((rows, fan_in)), requires_grad=True)
+    w = Tensor(np.ones((fan_in, fan_out)), requires_grad=True)
+    monkeypatch.setattr(np, "matmul", spy)
+    with Tape() as tape:
+        T.affine(x, w, Tensor(np.zeros(fan_out)))
+    tape.entries[-1][2](np.ones((rows, fan_out)))
+    monkeypatch.undo()
+    assert len(calls) == forward + backward
+    for shapes, width in ((calls[:forward], fan_out), (calls[forward:], fan_in)):
+        assert sum(r for r, _ in shapes) == rows
+        if len(shapes) > 1:
+            assert all(8 * r * k <= T._PACK_BYTES for r, k in shapes)
+            assert all(r >= T._MIN_SLICE_ROWS and r * k * width > T._SMALL_KERNEL_MACS for r, k in shapes)
