@@ -16,10 +16,7 @@ fields must match the loading run's configuration exactly; channel
 count is deliberately not structural (weights are channel independent).
 
 Version 2 marks the head convention: task heads read the encoder output
-standardized per patch. Version 1 does not record it, and v1 heads were
-trained on the raw encoder output until the heads changed, so a v1 file
-loads only when it holds no ``head.*`` parameters (pretrained
-checkpoints).
+standardized per patch. Only version 2 loads.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from .errors import CheckpointError
 from .model import ModelDims, ModelState
 
 MAGIC = "DECOP-CKPT v2"
-V1_MAGIC = "DECOP-CKPT v1"
 
 _STRUCTURAL = tuple(f.name for f in fields(ModelDims))
 
@@ -100,7 +96,7 @@ def _parse_header(blob: bytes, path: str):
         lines = blob[:cut].decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: header is not UTF-8 text (byte {exc.start})") from None
-    if not lines or lines[0] not in (MAGIC, V1_MAGIC):
+    if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: not a {MAGIC} file")
     config: dict[str, str] = {}
     manifest: list[tuple[str, tuple[int, ...]]] = []
@@ -122,12 +118,6 @@ def _parse_header(blob: bytes, path: str):
             manifest.append((name, _parse_shape(shape_text, name, path)))
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")
-    if lines[0] == V1_MAGIC and any(name.startswith("head.") for name, _ in manifest):
-        raise CheckpointError(
-            f"{path}: {V1_MAGIC} does not record whether its task heads read the encoder "
-            "output standardized, as heads now do, so its predictions may not reproduce; "
-            "fine-tune again to write a v2 checkpoint"
-        )
     return config, manifest, blob[cut + len(marker):]
 
 
@@ -159,10 +149,11 @@ def load(path: str, model: ModelState, require_heads: bool = False) -> None:
         end = offset + 4 * math.prod(shape)
         if end > len(payload):
             raise CheckpointError(f"{path}: payload truncated at parameter {name}")
-        values = np.frombuffer(payload[offset:end], dtype="<f4").astype(np.float64).reshape(shape)
+        # checked before widening: a signalling NaN sets numpy's invalid flag in the cast
+        values = np.frombuffer(payload[offset:end], dtype="<f4")
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: parameter {name} holds non-finite values")
-        restored[name] = values
+        restored[name] = values.astype(np.float64).reshape(shape)
         offset = end
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing payload bytes")

@@ -10,10 +10,10 @@ Commands::
     decop synth      --out path          write a bundled synthetic dataset CSV
 
 Exit code 0 on success. On failure, stderr carries one line of the form
-``decop:error:<category>: <message>`` where category is one of config,
-data, shape, contract, checkpoint, numeric, io. ``pretrain`` and
-``finetune`` write ``out_dir`` only after their stage returns, so a failed
-run leaves none.
+``decop:error:<category>: <message>``, category one of config (a bad
+command line too), data, shape, contract, checkpoint, numeric, io.
+``pretrain`` and ``finetune`` write ``out_dir`` only after their stage
+returns, so a failed run leaves none.
 """
 
 from __future__ import annotations
@@ -180,8 +180,13 @@ def cmd_synth(out_path: str, kind: str, rows: int, channels: int, seed: int) -> 
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one config error line, not argparse's usage text
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="decop", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="decop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_config(p):
@@ -207,8 +212,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         # a float overflow or invalid operation ends the run as one numeric
         # error, instead of an inf or NaN that shows up later
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -229,19 +234,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args) -> int:
-    if args.command == "pretrain":
-        return cmd_pretrain(load_config(args.config))
-    if args.command == "finetune":
-        return cmd_finetune(load_config(args.config), args.checkpoint)
-    if args.command == "eval":
-        return cmd_eval(load_config(args.config), args.checkpoint)
-    if args.command == "flops":
-        return cmd_flops(load_config(args.config))
-    if args.command == "filter-viz":
-        return cmd_filter_viz(load_config(args.config), args.channel, args.out)
+    # the parser admits only its own commands
     if args.command == "synth":
         return cmd_synth(args.out, args.kind, args.rows, args.channels, args.seed)
-    raise ConfigError(f"unknown command {args.command}")
+    cfg = load_config(args.config)
+    if args.command == "pretrain":
+        return cmd_pretrain(cfg)
+    if args.command == "finetune":
+        return cmd_finetune(cfg, args.checkpoint)
+    if args.command == "eval":
+        return cmd_eval(cfg, args.checkpoint)
+    if args.command == "filter-viz":
+        return cmd_filter_viz(cfg, args.channel, args.out)
+    return cmd_flops(cfg)
 
 
 if __name__ == "__main__":

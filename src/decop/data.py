@@ -62,8 +62,6 @@ class Dataset:
     name: str
     values: np.ndarray
     boundaries: tuple[int, int, int]
-    channel_mean: np.ndarray
-    channel_std: np.ndarray
     labels: np.ndarray | None = None
 
     @property
@@ -82,10 +80,8 @@ class Dataset:
 class WindowSample:
     """One univariate training sample."""
 
-    channel: int
     x: np.ndarray
     y: np.ndarray | None = None
-    label: int | None = None
 
 
 def n_patches_for(length: int, patch_size: int, stride: int) -> int:
@@ -258,7 +254,7 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
             f"{path}: column '{header[channel_cols[j]]}': too large to standardize in float64 "
             f"(train mean {mean[j]:.6g}, std {std[j]:.6g})"
         )
-    return Dataset(spec.name, standardized, boundaries, mean, std, labels)
+    return Dataset(spec.name, standardized, boundaries, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +300,7 @@ class Windows:
         position, channel = divmod(int(self.order[i]), self.view.shape[1])
         window = self.view[position, channel]
         y = window[self.lookback :] if window.shape[0] > self.lookback else None
-        label = None if self.labels is None else int(self.labels[position])
-        return WindowSample(channel, window[: self.lookback], y, label)
+        return WindowSample(window[: self.lookback], y)
 
 
 def sample_windows(

@@ -87,14 +87,7 @@ def generate_positive_views(windows: np.ndarray, keep_fraction: float) -> np.nda
     return apply_and_invert(coeffs, build_fmask(coeffs, keep_fraction), np.shape(windows)[-1])
 
 
-class ContrastiveDiagnostics:
-    """Counts degenerate (zero-norm) averaged representations."""
-
-    def __init__(self):
-        self.zero_norm_pairs = 0
-
-
-def contrastive_loss(pre: Tensor, diagnostics: ContrastiveDiagnostics | None = None) -> Tensor:
+def contrastive_loss(pre: Tensor) -> Tensor:
     """Alignment loss 1 - mean cosine between patch-averaged encodings.
 
     ``pre`` stacks the (B, N, D) encodings of both views under the same
@@ -107,8 +100,6 @@ def contrastive_loss(pre: Tensor, diagnostics: ContrastiveDiagnostics | None = N
         raise ContractError(f"contrastive loss needs a (2B, N, D) stack of pairs, got {pre.shape}")
     pooled = T.mean_axis(pre, axis=1)
     norm = T.sqrt(T.sum_axis(T.mul(pooled, pooled), axis=1, keepdims=True))
-    if diagnostics is not None:
-        diagnostics.zero_norm_pairs += int((norm.data < ZERO_NORM).sum())
     unit = T.div(pooled, T.clamp_min(norm, ZERO_NORM))
     half = rows // 2
     cosines = T.sum_axis(T.mul(T.take_rows(unit, 0, half), T.take_rows(unit, half, rows)), axis=1)

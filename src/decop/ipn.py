@@ -4,8 +4,7 @@ Each patch is normalized with statistics that blend its own mean and
 variance against the whole window's, controlled by one learnable scalar:
 blend 0 is pure instance normalization, blend 1 is pure per-patch
 normalization. The blended variance can go negative for blends outside
-[0, 1], so it is clamped at ``EPS`` before use and the clamp events are
-surfaced as a diagnostic counter.
+[0, 1], so it is clamped at ``EPS`` before use.
 
 All outputs are tensor-graph values: gradients flow to the blend
 parameter through both normalization and patch-wise denormalization.
@@ -26,19 +25,15 @@ EPS = 1e-5
 class NormStats:
     """Per-batch normalization statistics.
 
-    Shapes, for a (B, N, P) patch batch over (B, L) windows:
-    patch mean and variance (B, N); instance mean and variance (B, 1);
-    blended mean (B, N); blended variance (B, N), clamped at ``EPS``;
-    ``clamp_count`` is the number of clamped entries in this batch.
+    Shapes, for a (B, N, P) patch batch over (B, L) windows: instance
+    mean and variance (B, 1); blended mean (B, N); blended variance
+    (B, N), clamped at ``EPS``.
     """
 
-    patch_mean: Tensor
-    patch_var: Tensor
     instance_mean: Tensor
     instance_var: Tensor
     mean: Tensor
     var: Tensor
-    clamp_count: int
 
 
 def compute_stats(patches: Tensor, windows: Tensor, blend: Tensor) -> NormStats:
@@ -58,10 +53,8 @@ def compute_stats(patches: Tensor, windows: Tensor, blend: Tensor) -> NormStats:
 
     one_minus = T.sub(Tensor(1.0), blend)
     mean = T.add(T.mul(one_minus, inst_mean), T.mul(blend, patch_mean))
-    var_raw = T.add(T.mul(one_minus, inst_var), T.mul(blend, patch_var))
-    clamp_count = int((var_raw.data <= EPS).sum())
-    var = T.clamp_min(var_raw, EPS)
-    return NormStats(patch_mean, patch_var, inst_mean, inst_var, mean, var, clamp_count)
+    var = T.clamp_min(T.add(T.mul(one_minus, inst_var), T.mul(blend, patch_var)), EPS)
+    return NormStats(inst_mean, inst_var, mean, var)
 
 
 def normalize(patches: Tensor, stats: NormStats) -> Tensor:

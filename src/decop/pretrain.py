@@ -10,7 +10,7 @@ loss with Adam.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from . import tensor as T
 from .config import RunConfig
 from .data import Dataset, batches, patchify_batch, sample_windows, unpatchify_batch
 from .errors import ConfigError, ContractError
-from .icm import ContrastiveDiagnostics
 from .model import ModelState, encode_patches, normalize_windows
 from .optim import Adam, train_epoch
 from .rng import Rng
@@ -86,7 +85,6 @@ class BatchOutput:
     recon: Tensor
     contrastive: Tensor
     total: Tensor
-    diagnostics: ContrastiveDiagnostics = field(default_factory=ContrastiveDiagnostics)
 
 
 def pretrain_batch(
@@ -120,8 +118,7 @@ def pretrain_batch(
     both = T.concat_rows(anchor_patches, pair_patches)
     both_masks = np.concatenate([masks, masks], axis=0)
     encoded, pre = encode_patches(model, both, train, dropout_stream, both_masks)
-    diagnostics = ContrastiveDiagnostics()
-    contrastive = icm.contrastive_loss(pre, diagnostics)
+    contrastive = icm.contrastive_loss(pre)
     # the alignment loss is the pre-residual's only reader, so it is not
     # held while the reconstruction head runs
     del pre
@@ -130,9 +127,7 @@ def pretrain_batch(
     # same mask count in both halves, so the combined masked mean equals
     # the average of the two per-view reconstruction losses
     recon = recon_loss(both, preds, both_masks)
-    return BatchOutput(
-        recon, contrastive, total_loss(recon, contrastive, cfg.contrastive_weight), diagnostics
-    )
+    return BatchOutput(recon, contrastive, total_loss(recon, contrastive, cfg.contrastive_weight))
 
 
 def pretrain_epoch(

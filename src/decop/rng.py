@@ -81,11 +81,6 @@ class Rng:
         words = splitmix64_sequence(self.seed, 2 * LANES)
         self._s0 = words[0::2].copy()
         self._s1 = words[1::2].copy()
-        # an all-zero lane would be a fixed point; splitmix64 cannot emit
-        # two zeros in a row, so only guard the joint case defensively
-        dead = (self._s0 == 0) & (self._s1 == 0)
-        if dead.any():
-            self._s1[dead] = np.uint64(_GOLDEN)
 
     def child(self, tag: str) -> "Rng":
         """Derive an independent stream for a named purpose."""

@@ -118,17 +118,15 @@ def test_serialized_value_count_matches_analytic_params(tmp_path):
     assert len(payload) == 4 * flops.pretrain_param_count(model.dims)
 
 
-def test_v1_pretrained_checkpoint_still_loads(tmp_path):
+def test_v1_checkpoint_is_a_checkpoint_error(tmp_path):
+    # only format v2 loads, a pretrained v1 file without heads too
     model = _model()
     path = str(tmp_path / "v1.decop")
     checkpoint.save(path, model)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob.replace(b"DECOP-CKPT v2", b"DECOP-CKPT v1", 1))
-    fresh = _model(seed=99)
-    checkpoint.load(path, fresh)
-    for name, p in model.all_parameters().items():
-        narrowed = p.data.astype(np.float32).astype(np.float64)
-        assert np.array_equal(fresh.all_parameters()[name].data, narrowed), name
+    with pytest.raises(CheckpointError, match="not a DECOP-CKPT v2 file"):
+        checkpoint.load(path, _model(seed=99))
 
 
 def test_corrupt_payload_detected(tmp_path):

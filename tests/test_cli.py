@@ -1,5 +1,6 @@
 """End-to-end command-line runs on small synthetic data."""
 
+import math
 import os
 import random
 import shutil
@@ -277,7 +278,7 @@ def test_v1_finetuned_checkpoint_is_one_checkpoint_error(pretrained, capsys):
     v1 = tmp_path / "finetuned-v1.decop"
     v1.write_bytes(blob.replace(b"DECOP-CKPT v2", b"DECOP-CKPT v1", 1))
     code = main(["eval", "--config", cfg, "--checkpoint", str(v1)])
-    assert "fine-tune" in _assert_one_error_line(code, capsys, "checkpoint")
+    assert "not a DECOP-CKPT v2 file" in _assert_one_error_line(code, capsys, "checkpoint")
 
 
 @pytest.mark.parametrize(
@@ -600,6 +601,30 @@ def test_synth_size_that_cannot_be_allocated_is_one_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--out", "x.csv", "--rows", "abc"], "argument --rows: invalid int value: 'abc'"),
+        (["finetune", "--config"], "decop finetune: argument --config: expected one argument"),
+        ([], "decop: the following arguments are required: command"),
+    ],
+    ids=["rows-not-an-integer", "config-without-value", "no-command"],
+)
+def test_bad_command_line_is_one_config_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    assert message in _assert_one_error_line(code, capsys, "config")
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["synth", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: decop synth")
+
+
 # ---------------------------------------------------------------------------
 # a seeded sweep of config-text mutations through the command line
 
@@ -832,6 +857,166 @@ def test_csv_mutation_sweep_ends_in_exit_0_or_one_error_line(tmp_path, monkeypat
             changed = [line for line in lines if line not in base[source]][:2] or lines[-1:]
             problems.append(
                 f"{case} {mutate.__name__} {command} {source.name} {changed}: exit {code}, "
+                f"stderr {err!r}, warnings {[str(w.message) for w in caught]}, "
+                f"non-finite {_non_finite_outputs(out_dir) if code == 0 else []}"
+            )
+    assert not problems, "\n".join(problems)
+
+
+# ---------------------------------------------------------------------------
+# a seeded sweep of checkpoint-byte mutations through the command line
+
+_CKPT_MARKER = "END-HEADER\n"
+
+
+def _ckpt_bytes(lines, payload):
+    return ("\n".join(lines) + "\n" + _CKPT_MARKER).encode("utf-8") + payload
+
+
+def _ckpt_params(lines):
+    """(line index, value count) of each parameter line, in payload order."""
+    params = []
+    for i, line in enumerate(lines):
+        if line.startswith("param "):
+            shape = line.rsplit(" ", 1)[1]
+            params.append((i, 1 if shape == "scalar" else math.prod(int(d) for d in shape.split("x"))))
+    return params
+
+
+def _ckpt_truncated(rng, lines, payload):
+    # cut where a section ends: the magic line, a header line, the marker
+    # or a parameter's values; or one byte before, or at the start
+    ends, at = [0], 0
+    for line in lines:
+        at += len(line.encode("utf-8")) + 1
+        ends.append(at)
+    at += len(_CKPT_MARKER)
+    ends.append(at)
+    for _, count in _ckpt_params(lines):
+        at += 4 * count
+        ends.append(at)
+    cut = rng.choice(ends[:-1])
+    cut = max(0, cut - rng.choice([0, 1]))
+    return _ckpt_bytes(lines, payload)[:cut], True
+
+
+def _ckpt_duplicated_line(rng, lines, payload):
+    line = rng.choice(lines + ["END-HEADER"])
+    at = rng.randrange(1, len(lines) + 1)
+    return _ckpt_bytes(lines[:at] + [line] + lines[at:], payload), True
+
+
+def _ckpt_unknown_line(rng, lines, payload):
+    line = rng.choice([
+        "config turbo=9", "config Lookback=48", "config", "param extra f32 2", "param", "comment x",
+        "", " ",
+    ])
+    at = rng.randrange(1, len(lines) + 1)
+    return _ckpt_bytes(lines[:at] + [line] + lines[at:], payload), True
+
+
+def _ckpt_magic(rng, lines, payload):
+    magic = rng.choice([
+        "DECOP-CKPT v1", "DECOP-CKPT v3", "DECOP-CKPT v0", "DECOP-CKPT v20", "DECOP-CKPT v2 ",
+        "decop-ckpt v2", "DECOP-CKPT", "\ufeffDECOP-CKPT v2",
+    ])
+    return _ckpt_bytes([magic] + lines[1:], payload), True
+
+
+def _ckpt_shape(rng, lines, payload):
+    i, _ = rng.choice(_ckpt_params(lines))
+    head, shape = lines[i].rsplit(" ", 1)
+    dims = shape.split("x")
+    bad = rng.choice([
+        "x".join(reversed(dims)) if len(set(dims)) > 1 else shape + "x1", shape + "x1", "1x" + shape,
+        "0", "", "-8", "8.0", "8xx8", "\u0668", "9" * 30, "1" if shape == "scalar" else "scalar",
+    ])
+    return _ckpt_bytes(lines[:i] + [f"{head} {bad}"] + lines[i + 1 :], payload), True
+
+
+# little-endian float32 words: quiet, signalling and negative NaN, both
+# infinities; the largest finite values and others; denormals and zeros
+_CKPT_WORDS = {
+    "non-finite": (b"\x00\x00\xc0\x7f", b"\x01\x00\x80\x7f", b"\x00\x00\xc0\xff", b"\x00\x00\x80\x7f",
+                   b"\x00\x00\x80\xff"),
+    "huge": tuple(np.array(v, dtype="<f4").tobytes() for v in (3.4028235e38, -3.4028235e38, 1e38, 1e30)),
+    "tiny": tuple(np.array(v, dtype="<f4").tobytes() for v in (1e-45, -1e-45, 1e-38, -0.0)),
+}
+
+
+def _ckpt_value(kind):
+    def mutate(rng, lines, payload):
+        k = rng.randrange(len(payload) // 4)
+        word = rng.choice(_CKPT_WORDS[kind])
+        return _ckpt_bytes(lines, payload[: 4 * k] + word + payload[4 * k + 4 :]), kind == "non-finite"
+
+    mutate.__name__ = f"_ckpt_{kind}_value"
+    return mutate
+
+
+def _ckpt_trailing_bytes(rng, lines, payload):
+    extra = rng.choice([b"\0", b"\0\0\0\0", b"\n", b"\xff" * 3, payload[:8]])
+    return _ckpt_bytes(lines, payload) + extra, True
+
+
+_CKPT_MUTATIONS = (
+    _ckpt_truncated, _ckpt_duplicated_line, _ckpt_unknown_line, _ckpt_magic, _ckpt_shape,
+    _ckpt_value("non-finite"), _ckpt_value("huge"), _ckpt_value("tiny"), _ckpt_trailing_bytes,
+)
+
+
+def test_checkpoint_mutation_sweep_ends_in_exit_0_or_one_error_line(pretrained, tmp_path, capsys):
+    # every mutated checkpoint ends in exit 0 with finite outputs and nothing
+    # on stderr, or in exactly one decop:error: line, with no traceback, no
+    # warning and no out_dir; a mutation that breaks the format, or a
+    # non-finite value, is a checkpoint error
+    _, data, pretrained_blob = pretrained
+    assert main(["finetune", "--config", _config(tmp_path, data, "source", epochs=1)]) == 0
+    capsys.readouterr()
+    finetuned_blob = (tmp_path / "source" / "ckpt_finetuned.decop").read_bytes()
+    sources = {}
+    for name, blob in (("pretrained", pretrained_blob), ("finetuned", finetuned_blob)):
+        head, payload = blob.split(_CKPT_MARKER.encode("utf-8"), 1)
+        lines = head.decode("utf-8").splitlines()
+        assert _ckpt_bytes(lines, payload) == blob
+        sources[name] = lines, payload
+    runs = [
+        (command, source, tmp_path / name, _config(tmp_path, data, name, epochs=1))
+        for command, source, name in (
+            ("finetune", "pretrained", "finetune-pretrained"),
+            ("eval", "finetuned", "eval-finetuned"),
+            ("finetune", "finetuned", "finetune-finetuned"),
+        )
+    ]
+    ckpt = tmp_path / "case.decop"
+    rng = random.Random(20261019)
+    problems = []
+    for case in range(108):
+        mutate = _CKPT_MUTATIONS[case % len(_CKPT_MUTATIONS)]
+        command, source, out_dir, cfg = runs[case // len(_CKPT_MUTATIONS) % len(runs)]
+        blob, must_fail = mutate(rng, *sources[source])
+        ckpt.write_bytes(blob)
+        shutil.rmtree(out_dir, ignore_errors=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main([command, "--config", cfg, "--checkpoint", str(ckpt)])
+            except Exception as exc:
+                code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code == 0:
+            ok = err == "" and not must_fail and not _non_finite_outputs(out_dir)
+        else:
+            ok = isinstance(code, int) and err.count("\n") == 1 and err.startswith("decop:error:")
+            ok = ok and not out_dir.exists()
+            ok = ok and (not must_fail or err.startswith("decop:error:checkpoint: "))
+        if not ok or caught:
+            original = _ckpt_bytes(*sources[source])
+            same = [a == b for a, b in zip(blob, original)]
+            at = same.index(False) if False in same else len(same)
+            problems.append(
+                f"{case} {mutate.__name__} {command} {source}: first change at byte {at} "
+                f"({blob[at:at + 24]!r}), length {len(blob)} of {len(original)}: exit {code}, "
                 f"stderr {err!r}, warnings {[str(w.message) for w in caught]}, "
                 f"non-finite {_non_finite_outputs(out_dir) if code == 0 else []}"
             )

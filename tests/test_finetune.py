@@ -44,8 +44,6 @@ def _sine_dataset(rows=400, channels=2, seed=2, noise=0.05, boundaries=(0.6, 0.8
         "sine",
         (values - mean) / std,
         (cut, int(rows * boundaries[1]), rows),
-        mean,
-        std,
     )
 
 
@@ -289,7 +287,7 @@ def test_nonfinite_loss_aborts_with_batch_diagnostic(task):
     from decop.errors import NumericError
 
     values, labels = synthetic_two_class(300, 2, seed=17, segment=40)
-    ds = Dataset("nan", values, (200, 250, 300), np.zeros(2), np.ones(2), labels)
+    ds = Dataset("nan", values, (200, 250, 300), labels)
     model = _model()
     if task == "forecast":
         model.add_head("forecast", 8, Rng(18))
@@ -365,7 +363,7 @@ def test_dataset_level_classification_learns_above_chance():
     values, labels = synthetic_two_class(900, 1, seed=15, segment=150)
     cut, val_cut = 540, 720
     mean, std = values[:cut].mean(axis=0), values[:cut].std(axis=0)
-    ds = Dataset("cls", (values - mean) / std, (cut, val_cut, 900), mean, std, labels)
+    ds = Dataset("cls", (values - mean) / std, (cut, val_cut, 900), labels)
     dims = ModelDims(32, 8, 8, 8, (2,), "mlp")
     model = ModelState(dims, dropout=0.0, blend_init=0.01, rng=Rng(16))
     cfg = RunConfig(task="classify", classes=2, epochs=20, batch_size=64, lr=5e-3, seed=16, patience=20)

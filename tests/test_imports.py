@@ -1,6 +1,6 @@
-"""Every name a decop module imports is used in that module, and every
+"""Every name a decop module imports is used in that module, every
 module-level function or class is referred to by the program or the
-benchmark, not only by tests.
+benchmark, not only by tests, and every field they set is read there.
 
 No linter ships with the project, so this walks each module's syntax
 tree instead.
@@ -71,3 +71,60 @@ def test_every_definition_is_referenced_outside_tests():
     referenced = set().union(*map(references, package + bench))
     defined = {name for source in package for name in definitions(source)}
     assert sorted(defined - referenced - TEST_ONLY) == []
+
+
+# as_dict reads every field of this dataclass through __dict__
+READ_THROUGH_DICT = {"Metrics"}
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass"
+
+
+def fields_of(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each dataclass field and each ``self.<name>`` set in ``__init__``."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef) or cls.name in READ_THROUGH_DICT:
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and any(map(_is_dataclass, cls.decorator_list)):
+                found.append((cls.name, node.target.id))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                found += [
+                    (cls.name, target.attr)
+                    for target in ast.walk(node)
+                    if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                    and isinstance(target.value, ast.Name) and target.value.id == "self"
+                ]
+    return found
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Every attribute name the source reads; ``x.a += 1`` only stores ``a``."""
+    return {
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_checker_finds_an_unread_field():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    kept: int\n    dropped: int\n"
+        "class B:\n    def __init__(self):\n        self.read = 0\n        self.counted = 0\n"
+        "    def step(self, a):\n        self.counted += a.kept + self.read\n"
+    )
+    reads = attribute_reads(source)
+    assert [f"{cls}.{name}" for cls, name in fields_of(source) if name not in reads] == [
+        "A.dropped", "B.counted"
+    ]
+
+
+def test_every_field_is_read_outside_tests():
+    package = [(PACKAGE / module).read_text(encoding="utf-8") for module in MODULES]
+    bench = [p.read_text(encoding="utf-8") for p in (ROOT / "bench").glob("*.py")]
+    read = set().union(*map(attribute_reads, package + bench))
+    unread = [f"{cls}.{name}" for source in package for cls, name in fields_of(source) if name not in read]
+    assert sorted(unread) == []

@@ -156,7 +156,7 @@ def _toy_dataset(rows=160, channels=2, seed=1):
     mean = values[: int(rows * 0.8)].mean(axis=0)
     std = values[: int(rows * 0.8)].std(axis=0)
     standardized = (values - mean) / std
-    return Dataset("toy", standardized, (int(rows * 0.8), int(rows * 0.9), rows), mean, std)
+    return Dataset("toy", standardized, (int(rows * 0.8), int(rows * 0.9), rows))
 
 
 def test_pretraining_reduces_loss_on_toy_data():
@@ -169,7 +169,7 @@ def test_pretraining_reduces_loss_on_toy_data():
 
 def test_constant_dataset_with_zero_weight_fits_instantly():
     values = np.full((120, 1), 7.0)
-    ds = Dataset("const", np.zeros_like(values), (96, 108, 120), np.array([7.0]), np.array([1.0]))
+    ds = Dataset("const", np.zeros_like(values), (96, 108, 120))
     model = _tiny_model(lookback=16, patch=4, d=4, windows=(1,))
     cfg = RunConfig(epochs=5, batch_size=16, lr=3e-2, contrastive_weight=0.0, seed=6)
     history, _ = run_pretraining(model, ds, cfg)
