@@ -25,6 +25,12 @@ from .rng import Rng
 # z-score guard for constant channels
 STD_FLOOR = 1e-8
 
+# Largest magnitude a standardized value may have. IPN squares values and
+# sums the squares over a look-back, so a larger one (a huge cell in a val
+# or test row, scaled by the train statistics) could overflow float64
+# inside the model; below it, a sum of up to 1e108 squares stays finite.
+MAX_STANDARDIZED = 1e100
+
 # fixed month-based split protocol for the electricity-transformer corpora
 _ROWS_PER_MONTH = {"etth": 30 * 24, "ettm": 30 * 24 * 4}
 _ETT_MONTHS = (12, 4, 4)
@@ -172,7 +178,8 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
     file. Channel cells must be finite numbers and labels integers. With
     ``spec.classes`` set, a ``label`` column is required and every label
     must lie in ``[0, classes)``. The train split must hold a row, since its
-    statistics standardize every channel.
+    statistics standardize every channel, and no standardized value may
+    exceed :data:`MAX_STANDARDIZED` in magnitude.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -240,19 +247,30 @@ def load_csv(path: str, spec: DatasetSpec) -> Dataset:
         raise SizeError(
             f"{spec.name}: split 'train' has 0 of {n_rows} rows, but the channel statistics need one"
         )
-    # a huge but finite cell can overflow the statistics or the scaling;
-    # that is reported once here, not as numpy warnings or a silent channel
+    # a huge but finite cell can overflow the statistics or scale past
+    # MAX_STANDARDIZED; that is reported once here, not as numpy warnings,
+    # a silent channel or an overflow inside the model
     train_rows = values[: boundaries[0]]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train_rows.mean(axis=0)
         std = np.maximum(train_rows.std(axis=0), STD_FLOOR)
         standardized = (values - mean) / std
-    bad = ~(np.isfinite(mean) & np.isfinite(std) & np.isfinite(standardized).all(axis=0))
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
     if bad.any():
         j = int(np.argmax(bad))
         raise ParseError(
             f"{path}: column '{header[channel_cols[j]]}': too large to standardize in float64 "
             f"(train mean {mean[j]:.6g}, std {std[j]:.6g})"
+        )
+    over = np.abs(standardized) > MAX_STANDARDIZED
+    if over.any():
+        r, j = np.argwhere(over)[0]
+        split = "train" if r < boundaries[0] else "val" if r < boundaries[1] else "test"
+        c = channel_cols[j]
+        lineno, line = body[r]
+        raise ParseError(
+            f"{path}: {split} split, row {lineno}, column '{header[c]}': too large to standardize: "
+            f"{line.split(',')[c]!r} scales to {standardized[r, j]:.6g}, past {MAX_STANDARDIZED:g}"
         )
     return Dataset(spec.name, standardized, boundaries, labels)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-import sys
 
 import numpy as np
 
@@ -187,84 +186,44 @@ class Tape:
             _run_entry(grads, *entries.pop())
 
 
-def _private_refs(a) -> int:
-    """``sys.getrefcount(a)`` as read in here, if a write into ``a`` can
-    change no other array; 0 otherwise.
-
-    ``a`` must be a writable ``ndarray``: not a numpy scalar, which ``+=``
-    would rebind, and not a read-only broadcast view. It must own its
-    data or view a block (from :func:`_empty`) that no other array views.
-    The count includes the references that reading ``a`` here adds, so a
-    caller compares it with the count that :func:`_measure_private_refs`
-    read at import from a call site like its own. That keeps the test
-    independent of whether the interpreter's loads of a local borrow
-    their reference.
-    """
-    if type(a) is not np.ndarray or not a.flags.writeable:
-        return 0
-    base = a.base
-    if base is not None and (
-        type(base) is not np.ndarray
-        or base.base is not None
-        or sys.getrefcount(base) != _SOLE_VIEW_REFS
-    ):
-        return 0
-    return sys.getrefcount(a)
-
-
-def _measure_private_refs() -> tuple[int, int, int, int, int]:
-    """The counts that :func:`_private_refs` reads for an array held only
-    where each of its call sites holds it.
-
-    In order: the block under a view that nothing else views; a gradient
-    stored in the sweep's dict and bound to a local; a gradient that a
-    backward rule returned, as the sweep's loop holds it; an incoming
-    gradient, as a backward rule's parameter; an array a backward rule
-    captured.
-    """
-    view = np.empty(2)[:1]
-    base = view.base
-    sole_view = sys.getrefcount(base)
-    del view, base
-    grads = {0: np.empty(1)}
-    acc = grads.get(0)
-    stored = _private_refs(acc)
-    for _, g in zip((0,), (np.empty(1),)):
-        returned = _private_refs(g)
-    passed = (lambda g: _private_refs(g))(np.empty(1))
-    kept = np.empty(1)
-    captured = (lambda: _private_refs(kept))()
-    return sole_view, stored, returned, passed, captured
-
-
-(
-    _SOLE_VIEW_REFS,
-    _STORED_REFS,
-    _RETURNED_REFS,
-    _PASSED_REFS,
-    _CAPTURED_REFS,
-) = _measure_private_refs()
-
-
 def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn) -> None:
     """Apply one entry's backward rule and accumulate what it returns.
 
     A function of its own, so that none of its arrays stays bound while
-    the next entry runs. The incoming gradient is popped straight into
-    the rule, so a rule may write into it when nothing else holds it.
-    Rules may return views of their input, read-only broadcast views, or
-    one array for two inputs, so a second contribution is added in place
-    only into an array the sweep owns outright (see :func:`_private_refs`):
-    into the stored gradient, else into the returned one. Otherwise the
-    sum goes into a new array. Either way the sum is ``stored + returned``
-    element for element, and the addition commutes, so the bits are the
-    same.
+    the next entry runs.
+
+    Ownership follows one rule: a gradient array is writeable exactly when
+    the sweep owns its memory, so that a write into it changes no other
+    array. A backward rule may write into its incoming gradient ``g`` only
+    when ``g.flags.writeable``, and returns, for each input, ``None`` or
+    one of:
+
+    - an array it allocated in this call
+    - a view of ``g``
+    - a read-only array, such as a reduction's broadcast view
+
+    A writeable result whose memory block appears more than once among
+    the results of one call (``add``'s ``(g, g)``, ``concat_rows``' two
+    slices) is stored as a read-only view, so neither input writes into
+    the other's gradient.
+
+    A second contribution is added in place into the stored gradient when
+    that is writeable, else into the returned one when that is writeable
+    and C-contiguous (a view of another layout would carry that layout
+    on), else into a new array. Either way the sum is ``stored +
+    returned`` element for element, and the addition commutes, so the
+    bits are the same.
     """
     if node not in grads:
         return
-    for ref, g in zip(refs, backward_fn(grads.pop(node))):
-        if g is None or ref is None:
-            continue
+    results = [
+        (ref, g) for ref, g in zip(refs, backward_fn(grads.pop(node))) if ref is not None and g is not None
+    ]
+    blocks = [g if g.base is None else g.base for _, g in results]
+    for (ref, g), block in zip(results, blocks):
+        if g.flags.writeable and sum(b is block for b in blocks) > 1:
+            g = g.view()
+            g.flags.writeable = False
         if isinstance(ref, Tensor):
             if ref.grad is None:
                 ref.grad = np.zeros_like(ref.data)
@@ -275,11 +234,10 @@ def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn
             grads[ref] = g
             continue
         if acc.shape == g.shape:
-            if _private_refs(acc) == _STORED_REFS:
+            if acc.flags.writeable:
                 acc += g
                 continue
-            # a returned view of another layout would carry that layout on
-            if g.flags.c_contiguous and _private_refs(g) == _RETURNED_REFS:
+            if g.flags.writeable and g.flags.c_contiguous:
                 g += acc
                 grads[ref] = g
                 continue
@@ -595,8 +553,9 @@ def standardize(a: Tensor) -> Tensor:
 
         dx = inv_std * (g - mean(g) - y * mean(g * y))
 
-    That buffer is ``y``'s own array when nothing but the rule holds it
-    any more, since ``y`` is read only before the first write.
+    That buffer is the incoming gradient itself when the sweep owns it
+    (see :func:`_run_entry`), since both means are read from it first; the
+    output, which a caller may still hold, is never written.
     """
     d = a.shape[-1]
     out = _empty(a.shape)
@@ -606,11 +565,21 @@ def standardize(a: Tensor) -> Tensor:
     out *= inv_std
 
     def backward(g):
-        dx = out if _private_refs(out) == _CAPTURED_REFS else _empty(g.shape)
-        np.multiply(out, np.einsum("...i,...i->...", g, out)[..., None] / -d, out=dx)
-        dx += g
-        dx -= np.einsum("...i->...", g)[..., None] / d
-        dx *= inv_std
+        c = np.einsum("...i,...i->...", g, out)[..., None] / -d
+        mean = np.einsum("...i->...", g)[..., None] / d
+        dx = g if g.flags.writeable and g.flags.c_contiguous else _empty(g.shape)
+        # in blocks of leading rows (a 1-D input is one row), so that y * c
+        # takes a buffer of one block; g + y * c commutes, so the bits are
+        # those of dx = y * c; dx += g
+        y2, g2, c2, mean2, inv2, dx2 = np.atleast_2d(out, g, c, mean, inv_std, dx)
+        rows = max(1, BLOCK // math.prod(g2.shape[1:]))
+        buf = np.empty((min(rows, len(g2)),) + g2.shape[1:])
+        for s in _blocks(len(g2), rows):
+            t = buf[: s.stop - s.start]
+            np.multiply(y2[s], c2[s], out=t)
+            np.add(g2[s], t, out=dx2[s])
+            dx2[s] -= mean2[s]
+            dx2[s] *= inv2[s]
         return (dx,)
 
     return _record((a,), out, backward)
@@ -688,10 +657,10 @@ def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
     """Inverse of :func:`window_partition`: the first ``n`` patches, as a view.
 
     Backward writes the gradient into one buffer whose padded patches are
-    zero. That buffer is the incoming gradient's own block when nothing
-    else holds the gradient and the block has room for the padded layout
-    (block sizes are rounded up, see :func:`_empty`); otherwise it is a
-    new array.
+    zero. That buffer is the incoming gradient's own block when the sweep
+    owns the gradient (see :func:`_run_entry`) and the block has room for
+    the padded layout (block sizes are rounded up, see :func:`_empty`);
+    otherwise it is a new array.
     """
     if z.size % (batch * dim) or z.size // (batch * dim) < n:
         raise DimensionError("window_merge", z.shape, (batch, n, dim))
@@ -702,7 +671,7 @@ def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
         if n == full_shape[1]:
             # no padded slots: the gradient already has the input's layout
             return (g.reshape(flat_shape),)
-        block = g.base if _private_refs(g) == _PASSED_REFS and g.flags.c_contiguous else None
+        block = g.base if g.flags.writeable and g.flags.c_contiguous else None
         if block is not None and block.nbytes >= 8 * size and g.ctypes.data == block.ctypes.data:
             g_full = block[:size].reshape(full_shape)
             # batch rows move to their padded places last row first: a

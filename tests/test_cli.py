@@ -784,11 +784,14 @@ def _csv_line_endings(rng, lines):
 
 
 def _csv_cell(kind):
+    # a huge cell is a data error in any row: in a train row it overflows
+    # the channel statistics, in a val or test row it scales past
+    # data.MAX_STANDARDIZED, and in a label column it is not an integer
     def mutate(rng, lines):
         i = rng.randrange(1, len(lines))
         cells = lines[i].split(",")
         cells[rng.randrange(len(cells))] = rng.choice(_CSV_CELLS[kind])
-        return lines[:i] + [",".join(cells)] + lines[i + 1 :], False
+        return lines[:i] + [",".join(cells)] + lines[i + 1 :], kind == "huge"
 
     mutate.__name__ = f"_csv_{kind}_cell"
     return mutate
@@ -818,8 +821,8 @@ def _non_finite_outputs(out_dir) -> list[str]:
 def test_csv_mutation_sweep_ends_in_exit_0_or_one_error_line(tmp_path, monkeypatch, capsys):
     # every mutated CSV ends in exit 0 with finite outputs and nothing on
     # stderr, or in exactly one decop:error: line, with no traceback and no
-    # warning; a repeated column name and a mark inside the file are each a
-    # data error
+    # warning; a repeated column name, a mark inside the file and a huge cell
+    # are each a data error
     monkeypatch.chdir(tmp_path)
     sine, two_class = tmp_path / "sine.csv", tmp_path / "two-class.csv"
     write_csv(str(sine), synthetic_sine(420, 2, seed=5, periods=(12.0, 18.0)))

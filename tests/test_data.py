@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from decop.data import (
+    MAX_STANDARDIZED,
     Dataset,
     DatasetSpec,
     batches,
@@ -182,13 +183,26 @@ def test_huge_train_cell_is_a_parse_error_naming_the_channel(tmp_path, cell):
 
 def test_cell_that_overflows_when_scaled_is_a_parse_error(tmp_path):
     # finite statistics: a constant train channel has the std floor, so a
-    # huge test-split cell scales past the float64 range
+    # huge test-split cell scales past the float64 range; one that scales
+    # to just under MAX_STANDARDIZED loads
     rows = [f"{i}.5,1.0" for i in range(12)]
     rows[11] = "11.5,1e301"
-    with pytest.raises(ParseError, match="column 'b': too large to standardize"):
+    with pytest.raises(ParseError, match="test split, row 13, column 'b': too large to standardize"):
         _load_quietly(_write(tmp_path, "a,b\n" + "\n".join(rows)))
-    rows[11] = "11.5,1e290"
-    assert np.isfinite(_load_quietly(_write(tmp_path, "a,b\n" + "\n".join(rows))).values).all()
+    rows[11] = "11.5,9e91"
+    values = _load_quietly(_write(tmp_path, "a,b\n" + "\n".join(rows))).values
+    assert np.isfinite(values).all() and 8e99 < values[11, 1] <= MAX_STANDARDIZED
+
+
+@pytest.mark.parametrize("row, split", [(8, "val"), (10, "test")])
+def test_huge_cell_outside_the_train_split_is_a_parse_error(tmp_path, row, split):
+    # the train statistics are finite and so is the scaled cell, but an IPN
+    # variance over a look-back that holds it would overflow in the model
+    rows = [f"{i}.5,{i}" for i in range(12)]
+    rows[row] = f"{row}.5,1e200"
+    match = f"{split} split, row {row + 2}, column 'b': too large to standardize: '1e200' scales to"
+    with pytest.raises(ParseError, match=match):
+        _load_quietly(_write(tmp_path, "a,b\n" + "\n".join(rows)))
 
 
 def test_ett_hourly_protocol_boundaries(tmp_path):

@@ -271,13 +271,7 @@ def test_warm_training_step_reuses_freed_memory():
     assert faults[-1] < 100, faults
 
 
-def test_warm_training_step_peak_memory_is_bounded_in_activations():
-    # the tape keeps only the arrays backward rules read, dropout keeps a
-    # 1-byte mask, no frame holds a finished block's arrays and the sweep
-    # adds a second gradient contribution in place, so a step's peak stays
-    # near six (2B, N, D) float64 activations. A float mask, stale frame
-    # references and allocating sums peak near ten; a tape that keeps
-    # every op's inputs and outputs until the sweep ends, near sixteen
+def _warm_step_peak_in_activations():
     step, model = _acceptance_step()
     step()
     tracemalloc.start()
@@ -286,8 +280,18 @@ def test_warm_training_step_peak_memory_is_bounded_in_activations():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    activation = 2 * 64 * model.dims.n_patches * model.dims.model_dim * 8
-    assert peak <= 7 * activation, peak / activation
+    return peak / (2 * 64 * model.dims.n_patches * model.dims.model_dim * 8)
+
+
+def test_warm_training_step_peak_memory_is_bounded_in_activations():
+    # the tape keeps only the arrays backward rules read, dropout keeps a
+    # 1-byte mask, no frame holds a finished block's arrays and the sweep
+    # adds a second gradient contribution in place, so a step's peak stays
+    # near six (2B, N, D) float64 activations. A float mask, stale frame
+    # references and allocating sums peak near ten; a tape that keeps
+    # every op's inputs and outputs until the sweep ends, near sixteen
+    peak = _warm_step_peak_in_activations()
+    assert peak <= 7, peak
 
 
 def test_warm_training_step_holds_at_most_six_activations():
@@ -296,13 +300,13 @@ def test_warm_training_step_holds_at_most_six_activations():
     # owns, window_merge pads its gradient in place, and the alignment loss
     # runs before the reconstruction head so no frame holds the
     # pre-residual: the step peaks near 5.6 activations, not 6.7
-    step, model = _acceptance_step()
-    step()
-    tracemalloc.start()
-    try:
-        step()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    activation = 2 * 64 * model.dims.n_patches * model.dims.model_dim * 8
-    assert peak <= 6 * activation, peak / activation
+    peak = _warm_step_peak_in_activations()
+    assert peak <= 6, peak
+
+
+def test_warm_training_step_holds_at_most_six_activations_with_every_rule_wrapped(pass_through_rules):
+    # a wrapper holds each incoming gradient while its rule runs, as a
+    # tracer or a debugger would; the in-place paths go by the writeable
+    # flag, not by who else holds the array, so the peak does not move
+    peak = _warm_step_peak_in_activations()
+    assert peak <= 6, peak

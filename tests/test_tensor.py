@@ -1,5 +1,7 @@
 """Forward contracts and gradient correctness of every autodiff primitive."""
 
+import inspect
+import math
 import weakref
 
 import numpy as np
@@ -629,24 +631,25 @@ def test_sweep_adds_into_a_rounded_gradient_only_it_holds():
 # rules that write into an array only the sweep or the rule holds
 
 
-def _broadcast_then_returned(keep_returned):
+def _broadcast_then_returned(read_only):
     """h gets a read-only broadcast from mean_axis, then an array that a rule
-    returns; returns p's gradient and whether the sum went into that array."""
+    returns, writeable or read-only; returns p's gradient and whether the sum
+    went into that array."""
     rng = Rng(fnv1a64("broadcast-then-returned"))
     p = Tensor(rng.normal((4, 5, 3)), requires_grad=True)
     w = Tensor(rng.normal((4, 3)))
     k = rng.normal((4, 5, 3))
-    returned, held, received = [], [], []
+    returned, received = [], []
 
     def second_use(g):
         out = g * k
-        returned.append(weakref.ref(out))
-        if keep_returned:
-            held.append(out)
+        out.flags.writeable = not read_only
+        returned.append((out, out.copy()) if read_only else (weakref.ref(out), None))
         return (out,)
 
     def probe(g):
-        received.append(g is returned[0]())
+        out, _ = returned[0]
+        received.append(g is (out if read_only else out()))
         return (g,)
 
     with Tape() as tape:
@@ -658,16 +661,20 @@ def _broadcast_then_returned(keep_returned):
     tape.backward(loss)
     expected = np.broadcast_to((w.data / 5)[:, None, :], k.shape) + k
     assert np.array_equal(p.grad, expected)
+    if read_only:
+        out, values = returned[0]
+        assert np.array_equal(out, values)
     return p.grad, received == [True]
 
 
 def test_stored_broadcast_is_added_into_a_returned_gradient_only_the_sweep_holds():
     # the stored broadcast is read-only, so the sum goes into the returned
-    # array when nothing else holds it, and into a new array otherwise;
-    # both sums have the same bits
-    in_place, into_returned = _broadcast_then_returned(keep_returned=False)
-    allocated, into_held = _broadcast_then_returned(keep_returned=True)
-    assert into_returned and not into_held
+    # array when it is writeable (the sweep owns it), and into a new array
+    # when it is read-only, which stays as it was; both sums have the same
+    # bits
+    in_place, into_owned = _broadcast_then_returned(read_only=False)
+    allocated, into_read_only = _broadcast_then_returned(read_only=True)
+    assert into_owned and not into_read_only
     assert np.array_equal(in_place.view(np.uint64), allocated.view(np.uint64))
 
 
@@ -716,8 +723,11 @@ def test_window_merge_pads_a_gradient_it_owns_in_place_with_the_same_bits(batch,
         return g
 
     (in_place,) = backward(gradient())
+    # a read-only view of the same block: the sweep does not own it
     held = gradient()
-    (allocated,) = backward(held)
+    read_only = held.view()
+    read_only.flags.writeable = False
+    (allocated,) = backward(read_only)
     assert (in_place.base is blocks[0]()) == room
     assert allocated.base is not blocks[1]()
     assert np.array_equal(held, values)
@@ -727,13 +737,55 @@ def test_window_merge_pads_a_gradient_it_owns_in_place_with_the_same_bits(batch,
         assert np.array_equal(g_full.reshape(expected.shape).view(np.uint64), expected.view(np.uint64))
 
 
-def _standardize_gradient(keep_output):
-    """The input gradient of standardize, whether it was built in the
-    output's array, and the output as the caller kept it (or None)."""
+def test_window_merge_pads_in_place_when_every_rule_is_wrapped(pass_through_rules):
+    # the wrapper holds the incoming gradient while window_merge runs, as a
+    # tracer or a debugger would; the sweep still owns it, so the padded
+    # gradient is still a view of the incoming block
+    batch, n, dim, window = 64, 43, 64, 5
+    slots = -(-n // window) * window
+    values = Rng(fnv1a64("merge-wrapped")).normal((batch, n, dim))
+    blocks, received = [], []
+
+    def upstream(g):
+        out = T._empty(values.shape)
+        np.copyto(out, values)
+        blocks.append(weakref.ref(out.base))
+        return (out,)
+
+    def probe(g):
+        received.append(g)
+        return (g,)
+
+    p = Tensor(np.zeros((batch * slots // window, window * dim)), requires_grad=True)
+    with Tape() as tape:
+        h = Tensor(p.data.copy(), requires_grad=True)
+        tape.record((p,), h, probe)
+        merged = T.window_merge(h, batch, n, dim)
+        y = Tensor(merged.data.copy(), requires_grad=True)
+        tape.record((merged,), y, upstream)
+        loss = T.sum_all(y)
+    tape.backward(loss)
+    (g_full,) = received
+    assert g_full.base is blocks[0]()
+    expected = np.zeros((batch, slots, dim))
+    expected[:, :n] = values
+    assert np.array_equal(g_full.reshape(expected.shape).view(np.uint64), expected.view(np.uint64))
+
+
+def _standardize_gradient(owned):
+    """The input gradient of standardize and whether it was built in the
+    incoming gradient, which the rule above returns writeable (owned) or
+    read-only. The caller keeps the output, whose values must not change."""
     rng = Rng(fnv1a64("standardize-in-place"))
     p = Tensor(rng.normal((4, 6, 8)) * 2.0 + 0.5, requires_grad=True)
-    w = Tensor(rng.normal((4, 6, 8)))
-    received = []
+    w = rng.normal((4, 6, 8))
+    incoming, received = [], []
+
+    def weigh(g):
+        out = g * w
+        out.flags.writeable = owned
+        incoming.append(weakref.ref(out))
+        return (out,)
 
     def probe(g):
         received.append(g)
@@ -743,20 +795,19 @@ def _standardize_gradient(keep_output):
         h = Tensor(p.data.copy(), requires_grad=True)
         tape.record((p,), h, probe)
         y = T.standardize(h)
-        output, values = weakref.ref(y.data), y.data.copy()
-        loss = T.sum_all(T.mul(y, w))
-        kept = y if keep_output else None
-        del y
+        values = y.data.copy()
+        z = Tensor(y.data * w, requires_grad=True)
+        tape.record((y,), z, weigh)
+        loss = T.sum_all(z)
     tape.backward(loss)
-    if kept is not None:
-        assert np.array_equal(kept.data.view(np.uint64), values.view(np.uint64))
-    return p.grad, received[0] is output(), kept
+    assert np.array_equal(y.data.view(np.uint64), values.view(np.uint64))
+    return p.grad, received[0] is incoming[0]()
 
 
-def test_standardize_builds_its_input_gradient_in_its_output_only_when_no_caller_holds_it():
-    in_place, into_output, _ = _standardize_gradient(keep_output=False)
-    allocated, into_kept, kept = _standardize_gradient(keep_output=True)
-    assert into_output and not into_kept and kept is not None
+def test_standardize_builds_its_input_gradient_in_an_owned_incoming_gradient_only():
+    in_place, into_owned = _standardize_gradient(owned=True)
+    allocated, into_read_only = _standardize_gradient(owned=False)
+    assert into_owned and not into_read_only
     assert np.array_equal(in_place.view(np.uint64), allocated.view(np.uint64))
 
 
@@ -778,6 +829,99 @@ def test_window_partition_replaces_the_data_of_a_recorded_input_only():
     data = z.data
     T.window_partition(z, 2)
     assert z.data is data
+
+
+# ---------------------------------------------------------------------------
+# the backward-rule contract: a rule writes into its incoming gradient only
+# when it is writeable, since a read-only one is not the sweep's to write
+
+
+class _RuleTape(Tape):
+    """A tape that also keeps each entry's output shape and rule."""
+
+    def __init__(self):
+        super().__init__()
+        self.rules = []
+
+    def record(self, inputs, output, backward):
+        super().record(inputs, output, backward)
+        self.rules.append((output.shape, backward))
+
+
+def _x(*shape, seed=1):
+    """A leaf of positive values, so that sqrt, log and a divisor are defined."""
+    return Tensor(Rng(seed).uniform(shape) + 0.5, requires_grad=True)
+
+
+_MASK = np.array([[1, 0, 0, 1, 0], [0, 0, 1, 0, 0]], dtype=np.float64)
+
+# every public op, on inputs that all need a gradient; window_merge's
+# incoming gradient has room in its block for the padded layout
+_RULE_CASES = [
+    ("add", lambda: T.add(_x(3, 4), _x(3, 4, seed=2))),
+    ("sub", lambda: T.sub(_x(3, 4), _x(4, seed=2))),
+    ("mul", lambda: T.mul(_x(3, 4), _x(3, 4, seed=2))),
+    ("div", lambda: T.div(_x(3, 4), _x(3, 1, seed=2))),
+    ("sqrt", lambda: T.sqrt(_x(3, 4))),
+    ("exp", lambda: T.exp(_x(3, 4))),
+    ("log", lambda: T.log(_x(3, 4))),
+    ("clamp_min", lambda: T.clamp_min(_x(3, 4), 1.0)),
+    ("gelu", lambda: T.gelu(_x(3, 4))),
+    ("affine", lambda: T.affine(_x(5, 3), _x(3, 4, seed=2), _x(4, seed=3))),
+    ("reshape", lambda: T.reshape(_x(3, 4), (2, 6))),
+    ("take_rows", lambda: T.take_rows(_x(5, 3), 1, 4)),
+    ("concat_rows", lambda: T.concat_rows(_x(2, 3), _x(3, 3, seed=2))),
+    ("sum_all", lambda: T.sum_all(_x(3, 4))),
+    ("sum_axis", lambda: T.sum_axis(_x(3, 4, 2), 1)),
+    ("mean_all", lambda: T.mean_all(_x(3, 4))),
+    ("mean_axis", lambda: T.mean_axis(_x(3, 4, 2), 1, keepdims=True)),
+    ("standardize", lambda: T.standardize(_x(3, 4, 8))),
+    ("squared_error", lambda: T.squared_error(_x(3, 4), _x(3, 4, seed=2))),
+    ("add_positions", lambda: T.add_positions(_x(2, 5, 3), _x(5, 3, seed=2))),
+    ("add_positions", lambda: T.add_positions(_x(2, 5, 3), _x(5, 3, seed=2), _MASK, _x(3, seed=3))),
+    ("window_partition", lambda: T.window_partition(_x(2, 5, 3), 2)),
+    ("window_merge", lambda: T.window_merge(_x(64 * 9, 5 * 64), 64, 43, 64)),
+    ("dropout_add", lambda: T.dropout_add(_x(4, 5), _x(4, 5, seed=2), 0.3, Rng(7), train=True)),
+    ("dropout_add", lambda: T.dropout_add(_x(4, 5), _x(4, 5, seed=2), 0.3, None, train=False)),
+]
+
+
+def test_every_public_op_has_a_rule_case():
+    public = {
+        name
+        for name, f in vars(T).items()
+        if inspect.isfunction(f) and f.__module__ == T.__name__ and not name.startswith("_")
+    }
+    assert public == {name for name, _ in _RULE_CASES}
+
+
+@pytest.mark.parametrize("build", [build for _, build in _RULE_CASES], ids=[name for name, _ in _RULE_CASES])
+def test_rule_given_a_read_only_gradient_returns_the_bits_of_an_owned_one(build):
+    # each rule runs once on a read-only incoming gradient and once, on a
+    # second recording, on a writeable copy; writing into the read-only one
+    # would raise
+    results = []
+    for writeable in (False, True):
+        tape = _RuleTape()
+        with tape:
+            build()
+        returned = []
+        for i, (shape, backward) in enumerate(tape.rules):
+            g = T._empty(shape)
+            np.copyto(g, Rng(fnv1a64(f"rule-contract-{i}")).normal(math.prod(shape)).reshape(shape))
+            # a rule that wrote into the block under a read-only view would
+            # also change what it must not, so the block is read-only too
+            for a in (g, g.base):
+                if a is not None:
+                    a.flags.writeable = writeable
+            returned.append(backward(g))
+        results.append(returned)
+    for from_read_only, from_owned in zip(*results):
+        assert len(from_read_only) == len(from_owned)
+        for a, b in zip(from_read_only, from_owned):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
