@@ -69,7 +69,7 @@ def forecast_forward(model: ModelState, windows: np.ndarray, train: bool, rng: R
         T.standardize(encode_patches(model, patches, train, rng)[0]), (b, n * model.dims.model_dim)
     )
     normed_pred = T.affine(flat, model.heads["forecast_w"], model.heads["forecast_b"])
-    return denormalize(normed_pred, stats, "instance")
+    return denormalize(normed_pred, stats)
 
 
 def classify_forward(model: ModelState, windows: np.ndarray, train: bool, rng: Rng | None) -> Tensor:

@@ -67,10 +67,6 @@ def pretrain_report(dims: ModelDims, n_channels: int) -> StageReport:
     return _report(dims, head, n_channels, extra_params=dims.model_dim)
 
 
-def pretrain_param_count(dims: ModelDims) -> int:
-    return pretrain_report(dims, 1).params
-
-
 def finetune_report(
     dims: ModelDims, n_channels: int, task: str, horizon: int = 0, classes: int = 0
 ) -> StageReport:

@@ -4,9 +4,11 @@ View generation: take the one-sided spectrum of each normalized window,
 keep the globally salient bins (largest batch-mean amplitude), then drop
 each instance's low-amplitude bins unless globally protected. Inverting
 the masked spectrum yields a denoised twin of the window. This runs on
-plain arrays, outside the gradient graph: the views are data. A spectrum
-is the bare complex (B, L//2 + 1) array, so synthesis takes L as an
-argument; the mask reads only ``keep_fraction`` and the spectrum's width.
+plain arrays, outside the gradient graph: the views are data. The
+spectrum is numpy's one-sided real FFT, a complex (B, L//2 + 1) array;
+synthesis is its inverse told L, since an odd and an even length share
+that width. The mask reads only ``keep_fraction`` and the spectrum's
+width, so a window shorter than 2 has no maskable bin and is refused.
 
 The alignment loss compares the two encodings of a pair: average over the
 patch axis, L2-normalize, and penalize 1 minus the mean cosine. There are
@@ -23,23 +25,6 @@ from .tensor import Tensor
 
 # below this norm an averaged representation counts as zero (orthogonal)
 ZERO_NORM = 1e-12
-
-
-def dft_forward(windows: np.ndarray) -> np.ndarray:
-    """One-sided DFT of each row, (B, L//2 + 1) complex: X[k] = sum_t x[t] exp(-2 pi i k t / L)."""
-    windows = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-    length = windows.shape[1]
-    if length < 2:
-        raise ContractError(f"dft needs window length >= 2, got {length}")
-    return np.fft.rfft(windows, axis=1)
-
-
-def dft_inverse(coeffs: np.ndarray, length: int) -> np.ndarray:
-    """Real length-``length`` signal from a one-sided spectrum, assuming conjugate symmetry.
-
-    The imaginary parts of the DC and (even L) Nyquist bins are ignored.
-    """
-    return np.fft.irfft(coeffs, n=length, axis=1)
 
 
 def build_fmask(coeffs: np.ndarray, keep_fraction: float) -> np.ndarray:
@@ -74,17 +59,12 @@ def build_fmask(coeffs: np.ndarray, keep_fraction: float) -> np.ndarray:
     return mask
 
 
-def apply_and_invert(coeffs: np.ndarray, mask: np.ndarray, length: int) -> np.ndarray:
-    """Zero the masked bins and synthesize the denoised length-``length`` windows."""
-    coeffs = coeffs.copy()
-    coeffs[:, : mask.shape[1]] *= mask
-    return dft_inverse(coeffs, length)
-
-
 def generate_positive_views(windows: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Denoised twin for each normalized (B, L) window in the batch."""
-    coeffs = dft_forward(windows)
-    return apply_and_invert(coeffs, build_fmask(coeffs, keep_fraction), np.shape(windows)[-1])
+    coeffs = np.fft.rfft(windows, axis=1)
+    mask = build_fmask(coeffs, keep_fraction)
+    coeffs[:, : mask.shape[1]] *= mask
+    return np.fft.irfft(coeffs, n=windows.shape[1], axis=1)
 
 
 def contrastive_loss(pre: Tensor) -> Tensor:

@@ -7,7 +7,8 @@ normalization. The blended variance can go negative for blends outside
 [0, 1], so it is clamped at ``EPS`` before use.
 
 All outputs are tensor-graph values: gradients flow to the blend
-parameter through both normalization and patch-wise denormalization.
+parameter through normalization. Denormalization inverts only the
+instance statistics, which do not read the blend.
 """
 
 from __future__ import annotations
@@ -64,26 +65,13 @@ def normalize(patches: Tensor, stats: NormStats) -> Tensor:
     return T.div(T.sub(patches, mean), denom)
 
 
-def denormalize(values: Tensor, stats: NormStats, mode: str) -> Tensor:
+def denormalize(values: Tensor, stats: NormStats) -> Tensor:
     """Map normalized values back to the input scale.
 
-    ``patchwise`` inverts :func:`normalize` per patch. ``instance`` uses
-    the window-level statistics only, which is the inversion applied to
-    forecast horizons whose patches never existed.
+    Only the window-level statistics apply: the values inverted are
+    forecast horizons, which have no patches of their own.
     """
-    if mode == "patchwise":
-        if values.shape[:2] != stats.mean.shape:
-            raise ContractError(
-                f"patchwise denormalize: values {values.shape} do not align with stats {stats.mean.shape}"
-            )
-        mean = T.reshape(stats.mean, (*stats.mean.shape, 1))
-        denom = T.sqrt(T.add(T.reshape(stats.var, (*stats.var.shape, 1)), Tensor(EPS)))
-        return T.add(T.mul(values, denom), mean)
-    if mode == "instance":
-        if values.shape[0] != stats.instance_mean.shape[0]:
-            raise ContractError(
-                f"instance denormalize: batch {values.shape[0]} vs stats {stats.instance_mean.shape[0]}"
-            )
-        denom = T.sqrt(T.add(stats.instance_var, Tensor(EPS)))
-        return T.add(T.mul(values, denom), stats.instance_mean)
-    raise ContractError(f"unknown denormalize mode '{mode}'")
+    if values.shape[0] != stats.instance_mean.shape[0]:
+        raise ContractError(f"denormalize: batch {values.shape[0]} vs stats {stats.instance_mean.shape[0]}")
+    denom = T.sqrt(T.add(stats.instance_var, Tensor(EPS)))
+    return T.add(T.mul(values, denom), stats.instance_mean)

@@ -112,8 +112,6 @@ class Rng:
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words, each round written straight into the output."""
-        if n <= 0:
-            return np.empty(0, dtype=np.uint64)
         rows = -(-n // LANES)
         if rows > sys.maxsize // (8 * LANES):
             # numpy rejects a shape this large with a ValueError; it is a

@@ -196,7 +196,7 @@ def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn
     the sweep owns its memory, so that a write into it changes no other
     array. A backward rule may write into its incoming gradient ``g`` only
     when ``g.flags.writeable``, and returns, for each input, ``None`` or
-    one of:
+    one of, in that input's shape:
 
     - an array it allocated in this call
     - a view of ``g``
@@ -233,17 +233,13 @@ def _run_entry(grads: dict[int | None, np.ndarray], refs, node: int, backward_fn
         if acc is None:
             grads[ref] = g
             continue
-        if acc.shape == g.shape:
-            if acc.flags.writeable:
-                acc += g
-                continue
-            if g.flags.writeable and g.flags.c_contiguous:
-                g += acc
-                grads[ref] = g
-                continue
-        total = _empty(np.broadcast_shapes(acc.shape, g.shape))
-        np.add(acc, g, out=total)
-        grads[ref] = total
+        if acc.flags.writeable:
+            acc += g
+        elif g.flags.writeable and g.flags.c_contiguous:
+            g += acc
+            grads[ref] = g
+        else:
+            grads[ref] = np.add(acc, g, out=_empty(acc.shape))
 
 
 def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:

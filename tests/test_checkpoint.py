@@ -115,7 +115,7 @@ def test_serialized_value_count_matches_analytic_params(tmp_path):
     checkpoint.save(path, model)
     blob = open(path, "rb").read()
     payload = blob.split(b"END-HEADER\n", 1)[1]
-    assert len(payload) == 4 * flops.pretrain_param_count(model.dims)
+    assert len(payload) == 4 * flops.pretrain_report(model.dims, 1).params
 
 
 def test_v1_checkpoint_is_a_checkpoint_error(tmp_path):

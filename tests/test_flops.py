@@ -14,7 +14,7 @@ def test_toy_config_matches_manual_enumeration():
     assert dims.n_patches == 3
     # projection 2*2+2=6, positions 3*2=6, blend 1, block (1*2)^2+2=6,
     # mask token 2, reconstruction head 2*2+2=6 -> 27 total
-    assert flops.pretrain_param_count(dims) == 27
+    assert flops.pretrain_report(dims, 1).params == 27
     # per channel: projection 3*2*2=12, block 3 groups * 4 = 12, head 12 -> 36
     report = flops.pretrain_report(dims, n_channels=1)
     assert report.macs_per_channel == 36
@@ -32,7 +32,7 @@ def test_parameter_count_matches_real_model():
         dims = ModelDims(64, 8, 8, 16, (2, 4), learner, hidden_mult=2)
         model = ModelState(dims, dropout=0.1, blend_init=0.01, rng=Rng(1))
         actual = sum(p.size for p in model.pretrain_parameters().values())
-        assert flops.pretrain_param_count(dims) == actual
+        assert flops.pretrain_report(dims, 1).params == actual
         for task, horizon, classes in (("forecast", 12, 0), ("classify", 0, 3)):
             model.heads.clear()
             model.add_head(task, horizon or classes, Rng(2))
@@ -75,7 +75,7 @@ def test_doubling_width_scales_linear_blocks_quadratically():
         # one block's parameters: the count with two blocks less the count with one
         two = ModelDims(64, 8, 8, model_dim, (2, 2), "linear")
         one = ModelDims(64, 8, 8, model_dim, (2,), "linear")
-        return flops.pretrain_param_count(two) - flops.pretrain_param_count(one)
+        return flops.pretrain_report(two, 1).params - flops.pretrain_report(one, 1).params
 
     ratio = block_params(256) / block_params(128)
     assert abs(ratio - 4.0) < 0.04

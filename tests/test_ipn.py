@@ -97,18 +97,10 @@ def test_blend_zero_invariant_to_global_shift():
     assert np.allclose(ipn.normalize(patches2, stats2).data, base, atol=1e-9)
 
 
-def test_patchwise_round_trip_identity():
-    windows = Rng(5).normal((3, 28)) * 2 + 5
-    patches, stats = _stats(windows, 0.35, patch=7, stride=7)
-    normalized = ipn.normalize(patches, stats)
-    back = ipn.denormalize(normalized, stats, "patchwise")
-    assert np.abs(back.data - patches.data).max() < 1e-9
-
-
 def test_instance_denormalize_of_zeros_returns_instance_mean():
     windows = Rng(6).normal((2, 16)) + 3
     _, stats = _stats(windows, 0.2)
-    out = ipn.denormalize(Tensor(np.zeros((2, 5))), stats, "instance")
+    out = ipn.denormalize(Tensor(np.zeros((2, 5))), stats)
     assert np.allclose(out.data, windows.mean(axis=1, keepdims=True), atol=1e-12)
 
 
@@ -120,17 +112,15 @@ def test_instance_denormalize_hand_example():
         mean=Tensor(np.zeros((1, 1))),
         var=Tensor(np.ones((1, 1))),
     )
-    out = ipn.denormalize(Tensor(np.array([[1.0, -1.0]])), stats, "instance")
+    out = ipn.denormalize(Tensor(np.array([[1.0, -1.0]])), stats)
     assert np.allclose(out.data, [[4.0, 0.0]], atol=1e-4)
 
 
-def test_denormalize_rejects_misaligned_stats_and_bad_mode():
+def test_denormalize_rejects_misaligned_stats():
     windows = Rng(7).normal((2, 16))
     _, stats = _stats(windows, 0.5)
     with pytest.raises(ContractError):
-        ipn.denormalize(Tensor(np.zeros((3, 4, 4))), stats, "patchwise")
-    with pytest.raises(ContractError):
-        ipn.denormalize(Tensor(np.zeros((2, 4))), stats, "sideways")
+        ipn.denormalize(Tensor(np.zeros((3, 4))), stats)
 
 
 def test_blend_endpoints_reproduce_pure_normalizations():
@@ -171,30 +161,6 @@ def test_blend_gradient_matches_finite_differences():
         return out
 
     assert_grad_close(blend.grad, central_diff(numeric, np.asarray(0.3)), "blend")
-
-
-def test_blend_gradient_through_patchwise_denormalization():
-    windows = Rng(11).normal((2, 16))
-    blend = Tensor(np.asarray(0.65), requires_grad=True)
-    values = Rng(12).normal((2, 5, 4))
-
-    def loss_value():
-        patches = Tensor(patchify_batch(windows, 4, 4))
-        stats = ipn.compute_stats(patches, Tensor(windows), blend)
-        out = ipn.denormalize(Tensor(values), stats, "patchwise")
-        return T.mean_all(T.mul(out, out))
-
-    with Tape() as tape:
-        loss = loss_value()
-    tape.backward(loss)
-
-    def numeric(value):
-        blend.data = value
-        out = float(loss_value().data)
-        blend.data = np.asarray(0.65)
-        return out
-
-    assert_grad_close(blend.grad, central_diff(numeric, np.asarray(0.65)), "blend-denorm")
 
 
 def test_negative_blend_clamps_variance_at_eps():

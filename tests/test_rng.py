@@ -64,6 +64,17 @@ def test_each_call_consumes_whole_rounds():
     assert list(a.words(4)) == list(b.words(4))
 
 
+def test_empty_draws_return_empty_arrays_and_leave_the_stream_in_place():
+    # zero words take zero rounds, so the next draw is a fresh stream's first
+    rng = Rng(5)
+    words = rng.words(0)
+    assert words.shape == (0,) and words.dtype == np.uint64
+    assert rng.uniform(0).shape == (0,)
+    assert rng.normal((0, 3)).shape == (0, 3)
+    assert rng.bernoulli(0.5, 0).shape == (0,)
+    assert np.array_equal(rng.words(8), Rng(5).words(8))
+
+
 def test_same_seed_same_everything():
     a, b = Rng(7), Rng(7)
     assert np.array_equal(a.uniform(100), b.uniform(100))

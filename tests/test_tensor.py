@@ -837,7 +837,7 @@ def test_window_partition_replaces_the_data_of_a_recorded_input_only():
 
 
 class _RuleTape(Tape):
-    """A tape that also keeps each entry's output shape and rule."""
+    """A tape that also keeps each entry's input shapes, output shape and rule."""
 
     def __init__(self):
         super().__init__()
@@ -845,7 +845,7 @@ class _RuleTape(Tape):
 
     def record(self, inputs, output, backward):
         super().record(inputs, output, backward)
-        self.rules.append((output.shape, backward))
+        self.rules.append((tuple(t.shape for t in inputs), output.shape, backward))
 
 
 def _x(*shape, seed=1):
@@ -899,14 +899,15 @@ def test_every_public_op_has_a_rule_case():
 def test_rule_given_a_read_only_gradient_returns_the_bits_of_an_owned_one(build):
     # each rule runs once on a read-only incoming gradient and once, on a
     # second recording, on a writeable copy; writing into the read-only one
-    # would raise
+    # would raise. Each gradient comes back in its input's shape, since the
+    # sweep adds a second contribution without broadcasting
     results = []
     for writeable in (False, True):
         tape = _RuleTape()
         with tape:
             build()
         returned = []
-        for i, (shape, backward) in enumerate(tape.rules):
+        for i, (input_shapes, shape, backward) in enumerate(tape.rules):
             g = T._empty(shape)
             np.copyto(g, Rng(fnv1a64(f"rule-contract-{i}")).normal(math.prod(shape)).reshape(shape))
             # a rule that wrote into the block under a read-only view would
@@ -914,7 +915,11 @@ def test_rule_given_a_read_only_gradient_returns_the_bits_of_an_owned_one(build)
             for a in (g, g.base):
                 if a is not None:
                     a.flags.writeable = writeable
-            returned.append(backward(g))
+            grads = backward(g)
+            assert len(grads) == len(input_shapes)
+            for input_shape, grad in zip(input_shapes, grads):
+                assert grad is None or np.shape(grad) == input_shape
+            returned.append(grads)
         results.append(returned)
     for from_read_only, from_owned in zip(*results):
         assert len(from_read_only) == len(from_owned)
