@@ -127,18 +127,22 @@ def encode_patches(
     statistics never see the mask pattern, and before the positional
     table, so masked positions keep their position tag.
     """
+    # the first block's input goes unnamed, so this frame does not hold it
+    # while the blocks run
+    return dcl.encoder_forward(_latents(model, patches, mask), model.blocks, model.dropout, train, rng)
+
+
+def _latents(model: ModelState, patches: Tensor, mask: np.ndarray | None) -> Tensor:
+    """The first block's (B, N, D) input.
+
+    It carries a rebuild from the patches, so the first block's learner
+    reruns the projection in backward instead of keeping its input (the
+    recomputation of Chen et al., 2016).
+    """
     b, n, p = patches.shape
-    d = model.dims.model_dim
     flat = T.reshape(patches, (b * n, p))
     fill = None if mask is None else model.mask_token
-    # the projection and the first block's input go unnamed, so this frame
-    # holds neither while the blocks run
-    return dcl.encoder_forward(
-        T.add_positions(
-            T.reshape(T.affine(flat, model.proj_w, model.proj_b), (b, n, d)), model.pos, mask, fill
-        ),
-        model.blocks,
-        model.dropout,
-        train,
-        rng,
-    )
+    w, bias, pos = model.proj_w, model.proj_b, model.pos
+    z = T.add_positions(T.reshape(T.affine(flat, w, bias), (b, n, model.dims.model_dim)), pos, mask, fill)
+    z.recompute = T._rebuild_positions(flat, w, bias, pos, mask, fill)
+    return z

@@ -106,16 +106,19 @@ def pretrain_batch(
     anchor_patches, _ = normalize_windows(model, windows)
 
     if views is None:
-        series = unpatchify_batch(anchor_patches.data, dims.stride, dims.lookback)
-        views = icm.generate_positive_views(series, cfg.keep_fraction)
+        views = icm.generate_positive_views(
+            unpatchify_batch(anchor_patches.data, dims.stride, dims.lookback), cfg.keep_fraction
+        )
     pair_patches = Tensor(patchify_batch(views, dims.patch_size, dims.stride))
 
     if masks is None:
         masks = random_masks(windows.shape[0], dims.n_patches, cfg.mask_ratio, mask_stream)
 
     # both views share every parameter and the same masks, so they run as
-    # one doubled batch; the alignment loss pairs row i with row B + i
+    # one doubled batch; the alignment loss pairs row i with row B + i.
+    # The halves are copies, so they are let go before the encoder runs
     both = T.concat_rows(anchor_patches, pair_patches)
+    del views, anchor_patches, pair_patches
     both_masks = np.concatenate([masks, masks], axis=0)
     encoded, pre = encode_patches(model, both, train, dropout_stream, both_masks)
     contrastive = icm.contrastive_loss(pre)

@@ -105,17 +105,23 @@ class Tensor:
     """A shaped float64 array, optionally carrying a gradient slot.
 
     ``requires_grad`` leaves (parameters) keep their ``grad`` across a
-    backward pass. A tensor recorded as an operation's output carries the
-    tape's ``node`` number for it; its gradient is released once used.
+    backward pass. An operation's output that needs a gradient carries a
+    ``node`` number, with or without a tape; a tape records the node for
+    it, and its gradient is released once used. A leaf has no node.
+
+    ``recompute``, when set, writes the tensor's values bit for bit into
+    a given array of its shape, so that a backward rule can rebuild them
+    instead of keeping them from the forward pass.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "recompute")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node: int | None = None
+        self.recompute = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -247,6 +253,8 @@ def _record(inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tenso
     out = Tensor(out_data, requires_grad=needs)
     if needs and _active_tape is not None:
         _active_tape.record(inputs, out, backward)
+    elif needs:
+        out.node = next(_node_numbers)
     return out
 
 
@@ -441,9 +449,13 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused x @ w + b for a 2D input and a row-vector bias.
 
-    The input and the incoming gradient reach OpenBLAS in row slices (see
-    :func:`_matmul_rows`). The weight gradient sums over rows, so slicing
-    it would change its bits; it stays one product.
+    Every product reaches OpenBLAS through :func:`_matmul_rows`: the
+    input and the incoming gradient in slices of their rows, and the
+    weight gradient ``xᵀ·g`` in slices of ``xᵀ``'s rows, that is, of the
+    input's columns, so each sum over the batch keeps its order.
+
+    An input whose ``recompute`` is set is not kept: backward rebuilds it
+    for the weight gradient and lets it go again.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError("affine", x.shape, w.shape, b.shape)
@@ -451,11 +463,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = _empty((xd.shape[0], wd.shape[1]))
     _matmul_rows(xd, wd, out)
     out += b.data
+    rebuild, x_shape = x.recompute, x.shape
+    if rebuild is not None:
+        xd = None
 
     def backward(g):
         # the input is let go before its gradient takes a block of its own
         nonlocal xd
-        gw = xd.T @ g
+        if rebuild is not None:
+            xd = _empty(x_shape)
+            rebuild(xd)
+        gw = np.empty(wd.shape)
+        _matmul_rows(xd.T, g, gw)
         xd = None
         gx = _empty((g.shape[0], wd.shape[0]))
         _matmul_rows(g, wd.T, gx)
@@ -625,14 +644,57 @@ def add_positions(
     return _record((z, pos, fill), out, backward)
 
 
+def _rebuild_positions(
+    x: Tensor, w: Tensor, b: Tensor, pos: Tensor, mask: np.ndarray | None, fill: Tensor | None
+):
+    """A ``recompute`` for ``add_positions(reshape(affine(x, w, b)), pos, mask, fill)``.
+
+    The returned function reruns the projection through
+    :func:`_matmul_rows`, the bias, the mask swap and the positional add
+    into a given (B, N, D) array, in slices of about ``_PACK_BYTES`` of
+    batch rows. Every element sees the forward's operations in their
+    order, and each slice stays above the small-matrix kernel unless the
+    whole product is within it (then it runs whole, as the forward did),
+    so the bits are the forward's.
+    """
+    xd, wd, bd, posd = x.data, w.data, b.data, pos.data
+    fill_d = None if fill is None else fill.data
+    n, d = pos.shape
+    batch = xd.shape[0] // n
+    macs = n * xd.shape[1] * d
+    slices = 1
+    if batch * macs > _SMALL_KERNEL_MACS:
+        fewest = _SMALL_KERNEL_MACS // macs + 1
+        slices = max(1, min(batch // fewest, -(-8 * batch * n * d // _PACK_BYTES)))
+
+    def rebuild(target):
+        rows = None if mask is None else mask.astype(bool)
+        buf = np.empty(-(-batch // slices) * n * d)
+        for i in range(slices):
+            s = slice(batch * i // slices, batch * (i + 1) // slices)
+            z = buf[: (s.stop - s.start) * n * d].reshape(-1, d)
+            _matmul_rows(xd[s.start * n : s.stop * n], wd, z)
+            z += bd
+            z = z.reshape(-1, n, d)
+            if rows is not None:
+                z[rows[s]] = fill_d
+            np.add(z, posd, out=target[s])
+
+    return rebuild
+
+
 def window_partition(z: Tensor, window: int) -> Tensor:
     """Group patches into windows: (B, N, D) -> (B * ceil(N/W), W * D).
 
     The patches are copied once into the output, whose patch axis is
-    zero-padded up to a multiple of the window size. A recorded input's
-    ``data`` then becomes the output's first ``n`` patch slots: the same
+    zero-padded up to a multiple of the window size. The ``data`` of an
+    input that an operation made (one with a node, with or without a
+    tape) then becomes the output's first ``n`` patch slots: the same
     values, so the input's own array is freed unless something else holds
     it. A leaf's ``data`` is never replaced.
+
+    An input that can be rebuilt (``recompute``) gives the output a
+    rebuild too: its input's, written into a fresh padded layout.
     """
     if z.data.ndim != 3:
         raise DimensionError("window_partition", z.shape, (window,))
@@ -644,8 +706,17 @@ def window_partition(z: Tensor, window: int) -> Tensor:
     padded[:, n:] = 0.0
     padded_shape = padded.shape
     windows = _record((z,), out, lambda g: (g.reshape(padded_shape)[:, :n],))
-    if z.node is not None and windows.node is not None:
+    if z.node is not None:
         z.data = padded[:, :n]
+    rebuild_input = z.recompute
+    if rebuild_input is not None:
+
+        def rebuild(target):
+            full = target.reshape(padded_shape)
+            rebuild_input(full[:, :n])
+            full[:, n:] = 0.0
+
+        windows.recompute = rebuild
     return windows
 
 
@@ -705,7 +776,8 @@ def dropout_add(a: Tensor, b: Tensor, p: float, rng: Rng | None, train: bool) ->
     # both products match the float-mask form bit for bit. Both run in
     # blocks of whole batch rows.
     scale = 1.0 / (1.0 - p)
-    keep = ~rng.bernoulli(p, b.shape)
+    keep = rng.bernoulli(p, b.shape)
+    np.logical_not(keep, out=keep)
     rows = max(1, BLOCK // max(1, math.prod(b.shape[1:])))
     for s in _blocks(b.shape[0], rows):
         outs = out[s]

@@ -2,15 +2,18 @@
 
 OpenBLAS packs a product's streamed operand into per-thread buffers whose
 touched pages stay resident for the life of the process, so every product
-of an activation goes through ``tensor._matmul_rows``, which hands it over
-in row slices of about 1 MiB. The one exception is the affine's weight
-gradient ``xd.T @ g``: it sums over rows, so slicing it would change its
-bits. This walks each module's syntax tree for ``@``, ``@=`` and the
-BLAS-backed numpy products.
+goes through ``tensor._matmul_rows``, which hands it over in row slices of
+about 1 MiB. That includes the affine's weight gradient ``xᵀ·g``, sliced
+over the rows of ``xᵀ``, so each sum over the batch keeps its order. This
+walks each module's syntax tree for ``@``, ``@=`` and the BLAS-backed
+numpy products.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "decop"
 PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot"}
@@ -57,10 +60,37 @@ def test_checker_finds_products_outside_the_helper():
     ]
 
 
-def test_only_the_weight_gradient_is_one_whole_product():
+def test_every_product_goes_through_the_helper():
     found = {
         path.name: products(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
     }
-    assert {name: hits for name, hits in found.items() if hits} == {
-        "tensor.py": [("affine.backward", "xd.T @ g")]
-    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# the forecast head's weight gradient at the benchmark shape, the one the
+# slicing rule cuts (into five slices of 550 or 551 rows of xᵀ), and the
+# whole product, compared in a fresh interpreter so that the BLAS thread
+# count takes effect
+_WEIGHT_GRADIENT_BITS = """
+import numpy as np
+from decop import tensor as T
+from decop.rng import Rng, fnv1a64
+
+rng = Rng(fnv1a64("weight-gradient-slices"))
+x = T.Tensor(rng.normal((256, 2752)), requires_grad=True)
+w = T.Tensor(rng.normal((2752, 96)), requires_grad=True)
+g = rng.normal((256, 96))
+with T.Tape() as tape:
+    T.affine(x, w, T.Tensor(np.zeros(96), requires_grad=True))
+_, gw, _ = tape.entries[-1][2](g)
+assert np.array_equal(gw.view(np.uint64), (x.data.T @ g).view(np.uint64))
+"""
+
+
+def test_sliced_weight_gradient_has_the_bits_of_the_whole_product_on_one_and_two_threads():
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", _WEIGHT_GRADIENT_BITS], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, (threads, done.stderr)

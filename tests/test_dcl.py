@@ -1,11 +1,13 @@
 """Windowed encoder: shapes, locality, residuals, parameter accounting."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from decop import dcl
 from decop import tensor as T
-from decop.model import ModelDims, ModelState, encode_patches
+from decop.model import ModelDims, ModelState, _latents, encode_patches
 from decop.rng import Rng
 from decop.tensor import Tape, Tensor
 
@@ -300,3 +302,100 @@ def test_init_weights_respect_fan_in_bound():
     block = dcl.init_block(dims, 4, Rng(20))
     bound = 1.0 / np.sqrt(32)
     assert np.abs(block.params["w"].data).max() <= bound
+
+
+# ---------------------------------------------------------------------------
+# the first block's learner rebuilds its input in backward instead of
+# keeping it; the rebuild must give the forward's layout bit for bit
+
+
+def _acceptance_model(learner="linear", dropout=0.1):
+    # L=512, P=S=12, D=64, windows 2 and 5: 43 patches, the benchmark shape
+    dims = ModelDims(512, 12, 12, 64, (2, 5), learner)
+    return ModelState(dims, dropout=dropout, blend_init=0.01, rng=Rng(31))
+
+
+def _acceptance_batch(batch, masked):
+    patches = Tensor(Rng(32).normal((batch, 43, 12)))
+    mask = None
+    if masked:
+        mask = np.zeros((batch, 43))
+        mask[:, ::3] = 1.0
+    return patches, mask
+
+
+# 2 rows run whole, under the small-matrix kernel, as the forward does; 158
+# rows (the 79-window last batch of a pretrain-sine epoch, doubled) is
+# where slices of a fixed size would leave a last slice under it; 512 is a
+# full doubled batch
+@pytest.mark.parametrize("batch", [2, 158, 512])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_rebuilt_first_layout_has_the_bits_of_the_forward(batch, masked, monkeypatch):
+    model = _acceptance_model()
+    patches, mask = _acceptance_batch(batch, masked)
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, out):
+        calls.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    with Tape():
+        z = _latents(model, patches, mask)
+        windows = T.window_partition(z, model.blocks[0].window)
+        rebuilt = np.full(windows.shape, np.nan)
+        monkeypatch.setattr(np, "matmul", spy)
+        windows.recompute(rebuilt)
+        monkeypatch.undo()
+    assert np.array_equal(rebuilt.view(np.uint64), windows.data.view(np.uint64))
+    assert sum(calls) == batch * 43 * 12 * 64
+    if sum(calls) > T._SMALL_KERNEL_MACS:
+        assert min(calls) > T._SMALL_KERNEL_MACS
+    else:
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("learner", ["linear", "mlp"])
+def test_rebuilding_the_first_layout_changes_no_gradient_bit(learner, monkeypatch):
+    def gradients():
+        model = _acceptance_model(learner)
+        patches, mask = _acceptance_batch(158, masked=True)
+        with Tape() as tape:
+            out, _ = encode_patches(model, patches, True, Rng(33), mask)
+            loss = T.sum_all(T.mul(out, Tensor(Rng(34).normal(out.shape))))
+        tape.backward(loss)
+        return {name: p.grad for name, p in model.pretrain_parameters().items() if p.grad is not None}
+
+    rebuilt = gradients()
+    # without the rebuild, the first learner keeps its input as every
+    # other affine does
+    monkeypatch.setattr(T, "_rebuild_positions", lambda *args: None)
+    kept = gradients()
+    assert rebuilt.keys() == kept.keys()
+    for name in kept:
+        assert np.array_equal(rebuilt[name].view(np.uint64), kept[name].view(np.uint64)), name
+
+
+@pytest.mark.parametrize("learner", ["linear", "mlp"])
+def test_first_layout_is_let_go_when_the_forward_pass_returns(learner, monkeypatch):
+    model = _acceptance_model(learner)
+    patches, mask = _acceptance_batch(4, masked=True)
+    layouts = []
+    partition = T.window_partition
+
+    def spy(z, window):
+        windows = partition(z, window)
+        owner = windows.data if windows.data.base is None else windows.data.base
+        layouts.append(weakref.ref(owner))
+        return windows
+
+    monkeypatch.setattr(T, "window_partition", spy)
+    with Tape() as tape:
+        out, pre = encode_patches(model, patches, True, Rng(35), mask)
+        first, last = layouts
+        # the last block's learner keeps its input for its weight gradient;
+        # the first block's rebuilds it, so nothing holds it any more
+        assert first() is None and last() is not None
+        loss = T.sum_all(out)
+    tape.backward(loss)
+    assert model.blocks[0].params["w" if learner == "linear" else "w1"].grad is not None

@@ -241,13 +241,18 @@ def test_mask_token_substitution_happens_after_projection():
     assert np.allclose(out.data[0, 2], expected_masked)
 
 
-def _acceptance_step():
-    """One pretraining step at the acceptance shape, batch 64; returns (step, model)."""
+def _acceptance_batch():
+    """The acceptance config at batch 64, a fresh model and one batch of windows."""
     cfg = RunConfig(lookback=512, patch_size=12, stride=12, model_dim=64, windows=(2, 5), batch_size=64)
     model = ModelState(cfg.dims(), cfg.dropout, cfg.blend_init, Rng(3))
-    optimizer = Adam(model.pretrain_parameters(), lr=cfg.lr)
     windows = synthetic_sine(64 + 512, 1, seed=4)[:, 0]
-    x = np.stack([windows[i : i + 512] for i in range(64)])
+    return cfg, model, np.stack([windows[i : i + 512] for i in range(64)])
+
+
+def _acceptance_step():
+    """One pretraining step at the acceptance shape, batch 64; returns (step, model)."""
+    cfg, model, x = _acceptance_batch()
+    optimizer = Adam(model.pretrain_parameters(), lr=cfg.lr)
     streams = {name: Rng(5).child(name) for name in ("mask", "dropout")}
 
     def forward(x):
@@ -271,16 +276,20 @@ def test_warm_training_step_reuses_freed_memory():
     assert faults[-1] < 100, faults
 
 
-def _warm_step_peak_in_activations():
-    step, model = _acceptance_step()
-    step()
+def _warm_peak_in_activations(run, model):
+    """``run``'s second call's traced peak, in (2B, N, D) float64 activations."""
+    run()
     tracemalloc.start()
     try:
-        step()
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return peak / (2 * 64 * model.dims.n_patches * model.dims.model_dim * 8)
+
+
+def _warm_step_peak_in_activations():
+    return _warm_peak_in_activations(*_acceptance_step())
 
 
 def test_warm_training_step_peak_memory_is_bounded_in_activations():
@@ -299,9 +308,13 @@ def test_warm_training_step_holds_at_most_six_activations():
     # return broadcast views, the sweep adds into an incoming gradient it
     # owns, window_merge pads its gradient in place, and the alignment loss
     # runs before the reconstruction head so no frame holds the
-    # pre-residual: the step peaks near 5.6 activations, not 6.7
+    # pre-residual: the step peaked near 5.6 activations, not 6.7. The
+    # first block's learner now rebuilds its input in backward instead of
+    # keeping it, and the batch's view arrays are let go before the
+    # encoder runs, so the step peaks near 4.5, and a bound of five fails
+    # if the layout is kept again
     peak = _warm_step_peak_in_activations()
-    assert peak <= 6, peak
+    assert peak <= 5, peak
 
 
 def test_warm_training_step_holds_at_most_six_activations_with_every_rule_wrapped(pass_through_rules):
@@ -309,4 +322,13 @@ def test_warm_training_step_holds_at_most_six_activations_with_every_rule_wrappe
     # tracer or a debugger would; the in-place paths go by the writeable
     # flag, not by who else holds the array, so the peak does not move
     peak = _warm_step_peak_in_activations()
-    assert peak <= 6, peak
+    assert peak <= 5, peak
+
+
+def test_pass_without_a_tape_holds_at_most_four_activations():
+    # the val objective's pass: each block's input is an alias of its
+    # padded layout, tape or not, so no block holds both (5.2 activations
+    # when it did); the pass peaks near 3.7
+    cfg, model, x = _acceptance_batch()
+    peak = _warm_peak_in_activations(lambda: pretrain_batch(model, x, cfg, Rng(5), None, train=False), model)
+    assert peak <= 4, peak
