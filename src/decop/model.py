@@ -126,23 +126,16 @@ def encode_patches(
     for the mask token. The swap happens after projection, so input
     statistics never see the mask pattern, and before the positional
     table, so masked positions keep their position tag.
+
+    The first block's input comes from :func:`tensor.embed`, which sets
+    its ``recompute``, so the first block's learner reruns the projection
+    in backward instead of keeping its input (the recomputation of Chen
+    et al., 2016).
     """
+    fill = None if mask is None else model.mask_token
     # the first block's input goes unnamed, so this frame does not hold it
     # while the blocks run
-    return dcl.encoder_forward(_latents(model, patches, mask), model.blocks, model.dropout, train, rng)
-
-
-def _latents(model: ModelState, patches: Tensor, mask: np.ndarray | None) -> Tensor:
-    """The first block's (B, N, D) input.
-
-    It carries a rebuild from the patches, so the first block's learner
-    reruns the projection in backward instead of keeping its input (the
-    recomputation of Chen et al., 2016).
-    """
-    b, n, p = patches.shape
-    flat = T.reshape(patches, (b * n, p))
-    fill = None if mask is None else model.mask_token
-    w, bias, pos = model.proj_w, model.proj_b, model.pos
-    z = T.add_positions(T.reshape(T.affine(flat, w, bias), (b, n, model.dims.model_dim)), pos, mask, fill)
-    z.recompute = T._rebuild_positions(flat, w, bias, pos, mask, fill)
-    return z
+    return dcl.encoder_forward(
+        T.embed(patches, model.proj_w, model.proj_b, model.pos, mask, fill),
+        model.blocks, model.dropout, train, rng,
+    )

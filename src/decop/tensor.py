@@ -7,7 +7,10 @@ use; intermediate gradients live only inside the replay. An entry holds
 no tensor, only the arrays its backward rule reads, and the sweep drops
 each entry as it passes it, so an activation lives only while a forward
 caller or a backward rule still holds it. Evaluation without an active
-tape never records, so read-only forward passes are side-effect free.
+tape never records. It still numbers each op output that needs a
+gradient, and :func:`window_partition` points such an output's ``data``
+at its padded layout; the values are unchanged, and a leaf is never
+touched.
 
 Broadcasting in elementwise ops follows numpy's trailing-axis rule; the
 backward pass sums gradient over broadcast axes. This covers the
@@ -111,7 +114,9 @@ class Tensor:
 
     ``recompute``, when set, writes the tensor's values bit for bit into
     a given array of its shape, so that a backward rule can rebuild them
-    instead of keeping them from the forward pass.
+    instead of keeping them from the forward pass. :func:`embed` sets it
+    to the very function that wrote its output, and
+    :func:`window_partition` passes it on to its layout.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "recompute")
@@ -609,66 +614,46 @@ def squared_error(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# encoder glue: each op writes its output in one pass, so a block allocates
-# no pad, slice or dropout copies beside the learner's own arrays
+# encoder glue: embed writes the encoder's input, projection to positions,
+# in one op; each block op writes its output in one pass, so a block
+# allocates no pad, slice or dropout copies beside the learner's own arrays
 
 
-def add_positions(
-    z: Tensor, pos: Tensor, mask: np.ndarray | None = None, fill: Tensor | None = None
+def embed(
+    patches: Tensor, w: Tensor, b: Tensor, pos: Tensor, mask: np.ndarray | None = None, fill: Tensor | None = None
 ) -> Tensor:
-    """``z + pos`` over (B, N, D) latents, after swapping masked rows for ``fill``.
+    """The encoder's input: (B, N, P) patches to (B, N, D) latents.
 
-    ``pos`` is the (N, D) positional table. ``mask`` is (B, N) with 1
-    selecting the rows replaced by the (D,) vector ``fill``; the fill's
-    gradient is the gradient sum over all replaced rows.
+    Each patch is projected (``patches @ w + b``), the rows that the
+    (B, N) ``mask`` selects with 1 are swapped for the (D,) vector
+    ``fill``, and the (N, D) positional table ``pos`` is added. The
+    fill's gradient is the gradient sum over all replaced rows.
+
+    One writer fills the output and is its ``recompute``, so a rebuild
+    has the forward's bits by construction. It works in slices of about
+    ``_PACK_BYTES`` of batch rows, each projected through
+    :func:`_matmul_rows` into a slice buffer. Every slice's product stays
+    above the small-matrix kernel unless the whole product is within it
+    (then it runs whole), so the bits are those of one whole product.
     """
-    if z.data.ndim != 3 or pos.shape != z.shape[1:]:
-        raise DimensionError("add_positions", z.shape, pos.shape)
-    if mask is not None and (mask.shape != z.shape[:2] or fill is None or fill.shape != (z.shape[2],)):
-        raise DimensionError("add_positions", z.shape, mask.shape, None if fill is None else fill.shape)
-    out = _empty(z.shape)
-    if mask is None:
-        np.add(z.data, pos.data, out=out)
-        return _record((z, pos), out, lambda g: (g, g.sum(axis=0)))
-    rows = mask.astype(bool)
-    np.copyto(out, z.data)
-    out[rows] = fill.data
-    out += pos.data
-
-    def backward(g):
-        gz = _empty(g.shape)
-        np.copyto(gz, g)
-        gz[rows] = 0.0
-        return (gz, g.sum(axis=0), g[rows].sum(axis=0))
-
-    return _record((z, pos, fill), out, backward)
-
-
-def _rebuild_positions(
-    x: Tensor, w: Tensor, b: Tensor, pos: Tensor, mask: np.ndarray | None, fill: Tensor | None
-):
-    """A ``recompute`` for ``add_positions(reshape(affine(x, w, b)), pos, mask, fill)``.
-
-    The returned function reruns the projection through
-    :func:`_matmul_rows`, the bias, the mask swap and the positional add
-    into a given (B, N, D) array, in slices of about ``_PACK_BYTES`` of
-    batch rows. Every element sees the forward's operations in their
-    order, and each slice stays above the small-matrix kernel unless the
-    whole product is within it (then it runs whole, as the forward did),
-    so the bits are the forward's.
-    """
-    xd, wd, bd, posd = x.data, w.data, b.data, pos.data
+    if patches.data.ndim != 3 or w.data.ndim != 2:
+        raise DimensionError("embed", patches.shape, w.shape)
+    batch, n, p = patches.shape
+    d = w.shape[1]
+    if w.shape[0] != p or b.shape != (d,) or pos.shape != (n, d):
+        raise DimensionError("embed", patches.shape, w.shape, b.shape, pos.shape)
+    if mask is not None and (mask.shape != (batch, n) or fill is None or fill.shape != (d,)):
+        raise DimensionError("embed", patches.shape, mask.shape, () if fill is None else fill.shape)
+    xd, wd, bd, posd = patches.data.reshape(batch * n, p), w.data, b.data, pos.data
+    rows = None if mask is None else mask.astype(bool)
     fill_d = None if fill is None else fill.data
-    n, d = pos.shape
-    batch = xd.shape[0] // n
-    macs = n * xd.shape[1] * d
+    macs = n * p * d
     slices = 1
     if batch * macs > _SMALL_KERNEL_MACS:
         fewest = _SMALL_KERNEL_MACS // macs + 1
         slices = max(1, min(batch // fewest, -(-8 * batch * n * d // _PACK_BYTES)))
 
-    def rebuild(target):
-        rows = None if mask is None else mask.astype(bool)
+    def write(target):
         buf = np.empty(-(-batch // slices) * n * d)
         for i in range(slices):
             s = slice(batch * i // slices, batch * (i + 1) // slices)
@@ -680,7 +665,26 @@ def _rebuild_positions(
                 z[rows[s]] = fill_d
             np.add(z, posd, out=target[s])
 
-    return rebuild
+    def backward(g):
+        gz = g
+        if rows is not None:
+            gz = _empty(g.shape)
+            np.copyto(gz, g)
+            gz[rows] = 0.0
+        gz = gz.reshape(batch * n, d)
+        gw = np.empty(wd.shape)
+        _matmul_rows(xd.T, gz, gw)
+        gx = _empty(xd.shape)
+        _matmul_rows(gz, wd.T, gx)
+        grads = (gx.reshape(batch, n, p), gw, gz.sum(axis=0), g.sum(axis=0))
+        return grads if rows is None else grads + (g[rows].sum(axis=0),)
+
+    out = _empty((batch, n, d))
+    write(out)
+    inputs = (patches, w, b, pos) if rows is None else (patches, w, b, pos, fill)
+    latents = _record(inputs, out, backward)
+    latents.recompute = write
+    return latents
 
 
 def window_partition(z: Tensor, window: int) -> Tensor:

@@ -7,8 +7,8 @@ import pytest
 
 from decop import dcl
 from decop import tensor as T
-from decop.model import ModelDims, ModelState, _latents, encode_patches
-from decop.rng import Rng
+from decop.model import ModelDims, ModelState, encode_patches
+from decop.rng import Rng, fnv1a64
 from decop.tensor import Tape, Tensor
 
 
@@ -324,15 +324,28 @@ def _acceptance_batch(batch, masked):
     return patches, mask
 
 
-# 2 rows run whole, under the small-matrix kernel, as the forward does; 158
-# rows (the 79-window last batch of a pretrain-sine epoch, doubled) is
-# where slices of a fixed size would leave a last slice under it; 512 is a
-# full doubled batch
-@pytest.mark.parametrize("batch", [2, 158, 512])
+# (batch, patches, patch size): at the acceptance shape, each epoch's last
+# partial batch on the train, val and test splits of pretrain-sine
+# (doubled) and finetune-forecast, the full batches, and 1 and 2 rows,
+# which run whole under the small-matrix kernel (at 158 rows, slices of a
+# fixed size would leave a last one under it); then classify-mlp's shape
+_EMBED_SHAPES = [
+    *[(batch, 43, 12) for batch in (1, 2, 47, 119, 155, 158, 187, 256, 374, 512)],
+    *[(batch, 65, 8) for batch in (15, 59, 64)],
+]
+
+
+@pytest.mark.parametrize("batch, n, p", _EMBED_SHAPES)
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-def test_rebuilt_first_layout_has_the_bits_of_the_forward(batch, masked, monkeypatch):
-    model = _acceptance_model()
-    patches, mask = _acceptance_batch(batch, masked)
+def test_embed_has_the_bits_of_one_whole_product(batch, n, p, masked, monkeypatch):
+    rng = Rng(fnv1a64("embed-bits"))
+    d = 64
+    patches = Tensor(rng.normal((batch, n, p)))
+    w = Tensor(rng.uniform_range(-1.0, 1.0, (p, d)) / np.sqrt(p))
+    b = Tensor(rng.uniform_range(-1.0, 1.0, d) / np.sqrt(p))
+    pos = Tensor(rng.uniform_range(-0.02, 0.02, (n, d)))
+    fill = Tensor(rng.uniform_range(-0.02, 0.02, d))
+    mask = (rng.uniform((batch, n)) < 0.4).astype(np.float64) if masked else None
     calls = []
     matmul = np.matmul
 
@@ -340,19 +353,33 @@ def test_rebuilt_first_layout_has_the_bits_of_the_forward(batch, masked, monkeyp
         calls.append(a.shape[0] * a.shape[1] * b.shape[1])
         return matmul(a, b, out=out)
 
-    with Tape():
-        z = _latents(model, patches, mask)
-        windows = T.window_partition(z, model.blocks[0].window)
-        rebuilt = np.full(windows.shape, np.nan)
-        monkeypatch.setattr(np, "matmul", spy)
-        windows.recompute(rebuilt)
-        monkeypatch.undo()
-    assert np.array_equal(rebuilt.view(np.uint64), windows.data.view(np.uint64))
-    assert sum(calls) == batch * 43 * 12 * 64
+    monkeypatch.setattr(np, "matmul", spy)
+    out = T.embed(patches, w, b, pos, mask, fill if masked else None)
+    monkeypatch.undo()
+    swapped = np.zeros((batch, n, 1), dtype=bool) if mask is None else mask[..., None] == 1
+    projected = (patches.data.reshape(-1, p) @ w.data + b.data).reshape(batch, n, d)
+    want = np.where(swapped, fill.data, projected) + pos.data
+    assert np.array_equal(out.data.view(np.uint64), want.view(np.uint64))
+    assert sum(calls) == batch * n * p * d
     if sum(calls) > T._SMALL_KERNEL_MACS:
         assert min(calls) > T._SMALL_KERNEL_MACS
     else:
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("batch", [2, 158, 512])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_rebuilt_first_layout_has_the_bits_of_the_forward(batch, masked):
+    # the rebuild writes every slot, the pad slots included, over NaN
+    model = _acceptance_model()
+    patches, mask = _acceptance_batch(batch, masked)
+    fill = model.mask_token if masked else None
+    with Tape():
+        z = T.embed(patches, model.proj_w, model.proj_b, model.pos, mask, fill)
+        windows = T.window_partition(z, model.blocks[0].window)
+        rebuilt = np.full(windows.shape, np.nan)
+        windows.recompute(rebuilt)
+    assert np.array_equal(rebuilt.view(np.uint64), windows.data.view(np.uint64))
 
 
 @pytest.mark.parametrize("learner", ["linear", "mlp"])
@@ -369,7 +396,14 @@ def test_rebuilding_the_first_layout_changes_no_gradient_bit(learner, monkeypatc
     rebuilt = gradients()
     # without the rebuild, the first learner keeps its input as every
     # other affine does
-    monkeypatch.setattr(T, "_rebuild_positions", lambda *args: None)
+    embed = T.embed
+
+    def without_rebuild(*args):
+        latents = embed(*args)
+        latents.recompute = None
+        return latents
+
+    monkeypatch.setattr(T, "embed", without_rebuild)
     kept = gradients()
     assert rebuilt.keys() == kept.keys()
     for name in kept:

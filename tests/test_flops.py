@@ -45,14 +45,20 @@ def test_macs_are_the_affine_products_of_one_forward(learner, monkeypatch):
     from decop import finetune, pretrain, tensor
     from decop.config import RunConfig
 
+    # the patch projection is embed's product; every other layer is an affine
     products = []
-    real_affine = tensor.affine
+    real_affine, real_embed = tensor.affine, tensor.embed
 
     def counting_affine(x, w, b):
         products.append(x.shape[0] * w.shape[0] * w.shape[1])
         return real_affine(x, w, b)
 
+    def counting_embed(patches, w, *args):
+        products.append(patches.shape[0] * patches.shape[1] * w.shape[0] * w.shape[1])
+        return real_embed(patches, w, *args)
+
     monkeypatch.setattr(tensor, "affine", counting_affine)
+    monkeypatch.setattr(tensor, "embed", counting_embed)
     dims = ModelDims(40, 6, 4, 8, (2, 3), learner, hidden_mult=2)
     model = ModelState(dims, dropout=0.1, blend_init=0.01, rng=Rng(3))
     window = Rng(4).normal((1, 40))

@@ -368,24 +368,55 @@ def test_affine_gradient_and_shapes():
         T.affine(x, w, Tensor(np.zeros(5)))
 
 
-def test_add_positions_forward_and_gradient():
-    rng = Rng(fnv1a64("add_positions"))
-    z = Tensor(rng.normal((2, 4, 3)), requires_grad=True)
-    pos = Tensor(rng.normal((4, 3)), requires_grad=True)
-    fill = Tensor(rng.normal(3), requires_grad=True)
-    mask = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
-    out = T.add_positions(z, pos, mask, fill)
-    assert np.array_equal(out.data[0, 0], fill.data + pos.data[0])
-    assert np.array_equal(out.data[0, 1], z.data[0, 1] + pos.data[1])
-    assert np.array_equal(T.add_positions(z, pos).data, z.data + pos.data)
+def _embed_operands(masked):
+    rng = Rng(fnv1a64("embed"))
+    patches = Tensor(rng.normal((2, 4, 3)), requires_grad=True)
+    w = Tensor(rng.normal((3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(5), requires_grad=True)
+    pos = Tensor(rng.normal((4, 5)), requires_grad=True)
+    fill = Tensor(rng.normal(5), requires_grad=True)
+    mask = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]]) if masked else None
+    return patches, w, b, pos, mask, fill
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_embed_forward_and_gradient(masked):
+    patches, w, b, pos, mask, fill = _embed_operands(masked)
+    out = T.embed(patches, w, b, pos, mask, fill if masked else None)
+    projected = patches.data @ w.data + b.data + pos.data
+    if masked:
+        assert np.array_equal(out.data[0, 0], fill.data + pos.data[0])
+        assert np.array_equal(out.data[1, 1], fill.data + pos.data[1])
+        keep = mask == 0
+        assert np.allclose(out.data[keep], projected[keep])
+    else:
+        assert np.allclose(out.data, projected)
 
     def build():
-        out = T.add_positions(z, pos, mask, fill)
+        out = T.embed(patches, w, b, pos, mask, fill if masked else None)
         return T.sum_all(T.mul(out, out))
 
-    _fd_check("add_positions", build, [z, pos, fill])
-    with pytest.raises(DimensionError, match="add_positions"):
-        T.add_positions(z, pos, mask[:, :3], fill)
+    # without a mask the fill is no input, and its gradient stays zero
+    _fd_check("embed", build, [patches, w, b, pos, fill])
+
+
+def test_embed_names_itself_for_each_malformed_operand():
+    patches, w, b, pos, mask, fill = _embed_operands(masked=True)
+    cases = {
+        "patches not 3-D": (Tensor(patches.data[0]), w, b, pos),
+        "weight not 2-D": (patches, Tensor(w.data[0]), b, pos),
+        "weight rows": (patches, Tensor(w.data[:2]), b, pos),
+        "bias": (patches, w, Tensor(b.data[:4]), pos),
+        "positions": (patches, w, b, Tensor(pos.data[:3])),
+        "position width": (patches, w, b, Tensor(pos.data[:, :4])),
+        "mask shape": (patches, w, b, pos, mask[:, :3], fill),
+        "mask without fill": (patches, w, b, pos, mask),
+        "fill shape": (patches, w, b, pos, mask, Tensor(fill.data[:4])),
+    }
+    for case, operands in cases.items():
+        with pytest.raises(DimensionError, match="embed"):
+            T.embed(*operands)
+            pytest.fail(case)
 
 
 def test_window_merge_gradient_and_values():
@@ -875,8 +906,8 @@ _RULE_CASES = [
     ("mean_axis", lambda: T.mean_axis(_x(3, 4, 2), 1, keepdims=True)),
     ("standardize", lambda: T.standardize(_x(3, 4, 8))),
     ("squared_error", lambda: T.squared_error(_x(3, 4), _x(3, 4, seed=2))),
-    ("add_positions", lambda: T.add_positions(_x(2, 5, 3), _x(5, 3, seed=2))),
-    ("add_positions", lambda: T.add_positions(_x(2, 5, 3), _x(5, 3, seed=2), _MASK, _x(3, seed=3))),
+    ("embed", lambda: T.embed(_x(2, 5, 3), _x(3, 4, seed=2), _x(4, seed=3), _x(5, 4, seed=4))),
+    ("embed", lambda: T.embed(_x(2, 5, 3), _x(3, 4, seed=2), _x(4, seed=3), _x(5, 4, seed=4), _MASK, _x(4, seed=5))),
     ("window_partition", lambda: T.window_partition(_x(2, 5, 3), 2)),
     ("window_merge", lambda: T.window_merge(_x(64 * 9, 5 * 64), 64, 43, 64)),
     ("dropout_add", lambda: T.dropout_add(_x(4, 5), _x(4, 5, seed=2), 0.3, Rng(7), train=True)),
