@@ -97,7 +97,7 @@ def cross_entropy(scores: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def compute_metrics(preds: np.ndarray, targets: np.ndarray, task: str, classes: int = 0) -> Metrics:
-    """Forecast: MSE and MAE. Classification: accuracy and macro P/R/F1.
+    """Forecast: MSE and MAE. Classification: accuracy and macro P/R/F1 over ``classes`` classes.
 
     Classification metrics are percentages; a class with no predicted (or
     no true) examples contributes 0 to the macro averages.
@@ -111,11 +111,10 @@ def compute_metrics(preds: np.ndarray, targets: np.ndarray, task: str, classes: 
         return Metrics(mse=float(np.mean(err * err)), mae=float(np.mean(np.abs(err))))
     if task != "classify":
         raise ContractError(f"unknown task '{task}'")
-    n_classes = classes or int(max(preds.max(), targets.max())) + 1
-    precision = np.zeros(n_classes)
-    recall = np.zeros(n_classes)
-    f1 = np.zeros(n_classes)
-    for c in range(n_classes):
+    precision = np.zeros(classes)
+    recall = np.zeros(classes)
+    f1 = np.zeros(classes)
+    for c in range(classes):
         tp = int(np.sum((preds == c) & (targets == c)))
         fp = int(np.sum((preds == c) & (targets != c)))
         fn = int(np.sum((preds != c) & (targets == c)))

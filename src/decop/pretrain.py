@@ -94,25 +94,18 @@ def pretrain_batch(
     mask_stream: Rng | None,
     dropout_stream: Rng | None,
     train: bool = True,
-    masks: np.ndarray | None = None,
-    views: np.ndarray | None = None,
 ) -> BatchOutput:
     """Forward pass of one pretraining batch; loss tensors stay on the tape.
 
-    ``masks`` and ``views`` can be pinned for gradient checking; normally
-    they are drawn here (masks) or computed from the batch (views).
+    The masks are drawn here and the views computed from the batch.
     """
     dims = model.dims
     anchor_patches, _ = normalize_windows(model, windows)
-
-    if views is None:
-        views = icm.generate_positive_views(
-            unpatchify_batch(anchor_patches.data, dims.stride, dims.lookback), cfg.keep_fraction
-        )
+    views = icm.generate_positive_views(
+        unpatchify_batch(anchor_patches.data, dims.stride, dims.lookback), cfg.keep_fraction
+    )
     pair_patches = Tensor(patchify_batch(views, dims.patch_size, dims.stride))
-
-    if masks is None:
-        masks = random_masks(windows.shape[0], dims.n_patches, cfg.mask_ratio, mask_stream)
+    masks = random_masks(windows.shape[0], dims.n_patches, cfg.mask_ratio, mask_stream)
 
     # both views share every parameter and the same masks, so they run as
     # one doubled batch; the alignment loss pairs row i with row B + i.

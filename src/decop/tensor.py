@@ -113,7 +113,8 @@ class Tensor:
     it, and its gradient is released once used. A leaf has no node.
 
     ``recompute``, when set, writes the tensor's values bit for bit into
-    a given array of its shape, so that a backward rule can rebuild them
+    a given C-contiguous array of its shape (any other target is a
+    :class:`ContractError`), so that a backward rule can rebuild them
     instead of keeping them from the forward pass. :func:`embed` sets it
     to the very function that wrote its output, and
     :func:`window_partition` passes it on to its layout.
@@ -615,8 +616,9 @@ def squared_error(a: Tensor, b: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # encoder glue: embed writes the encoder's input, projection to positions,
-# in one op; each block op writes its output in one pass, so a block
-# allocates no pad, slice or dropout copies beside the learner's own arrays
+# in one op, and _pad_into writes every padded layout; each block op
+# writes its output in one pass, so a block allocates no pad, slice or
+# dropout copies beside the learner's own arrays
 
 
 def embed(
@@ -630,11 +632,11 @@ def embed(
     fill's gradient is the gradient sum over all replaced rows.
 
     One writer fills the output and is its ``recompute``, so a rebuild
-    has the forward's bits by construction. It works in slices of about
-    ``_PACK_BYTES`` of batch rows, each projected through
-    :func:`_matmul_rows` into a slice buffer. Every slice's product stays
-    above the small-matrix kernel unless the whole product is within it
-    (then it runs whole), so the bits are those of one whole product.
+    has the forward's bits by construction. It writes one whole
+    :func:`_matmul_rows` product into its C-contiguous target and adds
+    the bias, swap and positions in place, so the latents are those of
+    one whole product. Backward zeroes the masked rows of the incoming
+    gradient itself when the sweep owns it (see :func:`_run_entry`).
     """
     if patches.data.ndim != 3 or w.data.ndim != 2:
         raise DimensionError("embed", patches.shape, w.shape)
@@ -647,37 +649,31 @@ def embed(
     xd, wd, bd, posd = patches.data.reshape(batch * n, p), w.data, b.data, pos.data
     rows = None if mask is None else mask.astype(bool)
     fill_d = None if fill is None else fill.data
-    macs = n * p * d
-    slices = 1
-    if batch * macs > _SMALL_KERNEL_MACS:
-        fewest = _SMALL_KERNEL_MACS // macs + 1
-        slices = max(1, min(batch // fewest, -(-8 * batch * n * d // _PACK_BYTES)))
 
     def write(target):
-        buf = np.empty(-(-batch // slices) * n * d)
-        for i in range(slices):
-            s = slice(batch * i // slices, batch * (i + 1) // slices)
-            z = buf[: (s.stop - s.start) * n * d].reshape(-1, d)
-            _matmul_rows(xd[s.start * n : s.stop * n], wd, z)
-            z += bd
-            z = z.reshape(-1, n, d)
-            if rows is not None:
-                z[rows[s]] = fill_d
-            np.add(z, posd, out=target[s])
+        if target.shape != (batch, n, d) or not target.flags.c_contiguous:
+            raise ContractError(f"embed writes into a C-contiguous array of shape {(batch, n, d)}")
+        _matmul_rows(xd, wd, target.reshape(batch * n, d))
+        target += bd
+        if rows is not None:
+            target[rows] = fill_d
+        target += posd
 
     def backward(g):
-        gz = g
+        sums = (g.sum(axis=0),)
         if rows is not None:
-            gz = _empty(g.shape)
-            np.copyto(gz, g)
-            gz[rows] = 0.0
-        gz = gz.reshape(batch * n, d)
+            sums += (g[rows].sum(axis=0),)
+            if not (g.flags.writeable and g.flags.c_contiguous):
+                copy = _empty(g.shape)
+                np.copyto(copy, g)
+                g = copy
+            g[rows] = 0.0
+        gz = g.reshape(batch * n, d)
         gw = np.empty(wd.shape)
         _matmul_rows(xd.T, gz, gw)
         gx = _empty(xd.shape)
         _matmul_rows(gz, wd.T, gx)
-        grads = (gx.reshape(batch, n, p), gw, gz.sum(axis=0), g.sum(axis=0))
-        return grads if rows is None else grads + (g[rows].sum(axis=0),)
+        return (gx.reshape(batch, n, p), gw, gz.sum(axis=0)) + sums
 
     out = _empty((batch, n, d))
     write(out)
@@ -685,6 +681,21 @@ def embed(
     latents = _record(inputs, out, backward)
     latents.recompute = write
     return latents
+
+
+def _pad_into(src: np.ndarray, full: np.ndarray) -> None:
+    """Write (B, n, D) ``src`` into ``full[:, :n]`` and zero ``full[:, n:]``.
+
+    Batch rows go last first, in groups of about ``BLOCK`` elements of
+    ``full``: a row's padded place starts past every earlier row's place
+    in ``src``, so ``src`` may also be rows at the front of ``full``'s own
+    memory (numpy buffers a group that overlaps its source).
+    """
+    n = src.shape[1]
+    rows = max(1, BLOCK // math.prod(full.shape[1:]))
+    for s in reversed(list(_blocks(len(src), rows))):
+        full[s, :n] = src[s]
+        full[s, n:] = 0.0
 
 
 def window_partition(z: Tensor, window: int) -> Tensor:
@@ -698,7 +709,8 @@ def window_partition(z: Tensor, window: int) -> Tensor:
     it. A leaf's ``data`` is never replaced.
 
     An input that can be rebuilt (``recompute``) gives the output a
-    rebuild too: its input's, written into a fresh padded layout.
+    rebuild too: its input's, written at the head of the layout's block
+    and then padded in place.
     """
     if z.data.ndim != 3:
         raise DimensionError("window_partition", z.shape, (window,))
@@ -706,8 +718,7 @@ def window_partition(z: Tensor, window: int) -> Tensor:
     groups = -(-n // window)
     out = _empty((b * groups, window * d))
     padded = out.reshape(b, groups * window, d)
-    padded[:, :n] = z.data
-    padded[:, n:] = 0.0
+    _pad_into(z.data, padded)
     padded_shape = padded.shape
     windows = _record((z,), out, lambda g: (g.reshape(padded_shape)[:, :n],))
     if z.node is not None:
@@ -716,9 +727,11 @@ def window_partition(z: Tensor, window: int) -> Tensor:
     if rebuild_input is not None:
 
         def rebuild(target):
-            full = target.reshape(padded_shape)
-            rebuild_input(full[:, :n])
-            full[:, n:] = 0.0
+            if not target.flags.c_contiguous:
+                raise ContractError("window_partition rebuilds into a C-contiguous array")
+            head = target.reshape(-1)[: b * n * d].reshape(b, n, d)
+            rebuild_input(head)
+            _pad_into(head, target.reshape(padded_shape))
 
         windows.recompute = rebuild
     return windows
@@ -727,11 +740,11 @@ def window_partition(z: Tensor, window: int) -> Tensor:
 def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
     """Inverse of :func:`window_partition`: the first ``n`` patches, as a view.
 
-    Backward writes the gradient into one buffer whose padded patches are
-    zero. That buffer is the incoming gradient's own block when the sweep
-    owns the gradient (see :func:`_run_entry`) and the block has room for
-    the padded layout (block sizes are rounded up, see :func:`_empty`);
-    otherwise it is a new array.
+    Backward pads the gradient with :func:`_pad_into` into the incoming
+    gradient's own block when the sweep owns the gradient (see
+    :func:`_run_entry`) and the block has room for the padded layout
+    (block sizes are rounded up, see :func:`_empty`); otherwise into a
+    new array.
     """
     if z.size % (batch * dim) or z.size // (batch * dim) < n:
         raise DimensionError("window_merge", z.shape, (batch, n, dim))
@@ -745,16 +758,9 @@ def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
         block = g.base if g.flags.writeable and g.flags.c_contiguous else None
         if block is not None and block.nbytes >= 8 * size and g.ctypes.data == block.ctypes.data:
             g_full = block[:size].reshape(full_shape)
-            # batch rows move to their padded places last row first: a
-            # row's new place starts past every earlier row's old one
-            rows = max(1, BLOCK // (full_shape[1] * dim))
-            for s in reversed(list(_blocks(batch, rows))):
-                g_full[s, :n] = g[s]
-                g_full[s, n:] = 0.0
         else:
             g_full = _empty(full_shape)
-            g_full[:, :n] = g
-            g_full[:, n:] = 0.0
+        _pad_into(g, g_full)
         return (g_full.reshape(flat_shape),)
 
     return _record((z,), full[:, :n], backward)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, central_diff, naive_dft
-from decop import dcl, icm, ipn
+from decop import dcl, icm, ipn, pretrain
 from decop import tensor as T
 from decop.cli import main as cli_main
 from decop.data import (
@@ -39,7 +39,7 @@ def _report(criterion: str, detail: str):
 # 1. gradient suite
 
 
-def _composed_loss_gradients(learner: str):
+def _composed_loss_gradients(learner: str, monkeypatch):
     """Full pretraining loss with pinned masks/views, checked against FD."""
     dims = ModelDims(lookback=24, patch_size=4, stride=4, model_dim=6, windows=(2, 3), learner=learner)
     model = ModelState(dims, dropout=0.1, blend_init=0.01, rng=Rng(404))
@@ -56,13 +56,13 @@ def _composed_loss_gradients(learner: str):
 
     series = unpatchify_batch(patches.data, dims.stride, dims.lookback)
     views = icm.generate_positive_views(series, cfg.keep_fraction)
+    # pretrain_batch draws its masks and views through these module attributes
+    monkeypatch.setattr(pretrain, "random_masks", lambda *_: masks)
+    monkeypatch.setattr(icm, "generate_positive_views", lambda *_: views)
 
     def loss_value():
         # fresh stream per call: dropout masks repeat exactly
-        out = pretrain_batch(
-            model, windows, cfg, None, Rng(407).child("dropout"), train=True, masks=masks, views=views
-        )
-        return out.total
+        return pretrain_batch(model, windows, cfg, None, Rng(407).child("dropout"), train=True).total
 
     params = model.pretrain_parameters()
     for p in params.values():
@@ -84,15 +84,16 @@ def _composed_loss_gradients(learner: str):
 
         assert_grad_close(analytic, central_diff(numeric, p.data.copy()), f"{learner}:{name}")
         checked += p.data.size
+    monkeypatch.undo()
     return checked
 
 
-def test_criterion_1_gradient_suite():
+def test_criterion_1_gradient_suite(monkeypatch):
     started = time.perf_counter()
     # every primitive is covered by the unit suite; re-run the composed
     # check here for both learner kinds, blend parameter included
-    checked = _composed_loss_gradients("linear")
-    checked += _composed_loss_gradients("mlp")
+    checked = _composed_loss_gradients("linear", monkeypatch)
+    checked += _composed_loss_gradients("mlp", monkeypatch)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
     _report("1", f"{checked} parameter entries FD-verified in {elapsed:.1f}s (< 60s)")

@@ -1,5 +1,6 @@
 """Windowed encoder: shapes, locality, residuals, parameter accounting."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from decop import dcl
 from decop import tensor as T
+from decop.errors import ContractError
 from decop.model import ModelDims, ModelState, encode_patches
 from decop.rng import Rng, fnv1a64
 from decop.tensor import Tape, Tensor
@@ -380,6 +382,51 @@ def test_rebuilt_first_layout_has_the_bits_of_the_forward(batch, masked):
         rebuilt = np.full(windows.shape, np.nan)
         windows.recompute(rebuilt)
     assert np.array_equal(rebuilt.view(np.uint64), windows.data.view(np.uint64))
+
+
+def test_rebuilds_write_only_into_a_c_contiguous_target():
+    # a reshape of any other target would be a copy, and the rebuild would
+    # write into that copy instead
+    model = _acceptance_model()
+    patches, mask = _acceptance_batch(4, masked=True)
+    with Tape():
+        z = T.embed(patches, model.proj_w, model.proj_b, model.pos, mask, model.mask_token)
+        windows = T.window_partition(z, model.blocks[0].window)
+    targets = [
+        (z.recompute, np.empty((4, 45, 64))[:, :43]),
+        (z.recompute, np.empty((64, 43, 4)).T),
+        (windows.recompute, np.empty(windows.shape[::-1]).T),
+    ]
+    for rebuild, target in targets:
+        with pytest.raises(ContractError, match="C-contiguous"):
+            rebuild(target)
+
+
+def test_embed_zeroes_the_masked_rows_of_a_gradient_it_owns_in_place():
+    # the pretrain-sine shape, both views: the rule takes its sums over the
+    # incoming gradient first, so it copies no (2B, N, D) block when the
+    # sweep owns the gradient, and a read-only one gives the same bits
+    model = _acceptance_model()
+    patches, mask = _acceptance_batch(512, masked=True)
+    with Tape() as tape:
+        T.embed(patches, model.proj_w, model.proj_b, model.pos, mask, model.mask_token)
+    backward = tape.entries[-1][2]
+    values = Rng(fnv1a64("embed-owned")).normal((512, 43, 64))
+    owned = T._empty(values.shape)
+    np.copyto(owned, values)
+    tracemalloc.start()
+    try:
+        from_owned = backward(owned)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes, peak
+    read_only = values.copy()
+    read_only.flags.writeable = False
+    from_read_only = backward(read_only)
+    assert len(from_owned) == len(from_read_only) == 5
+    for a, b in zip(from_owned, from_read_only):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("learner", ["linear", "mlp"])

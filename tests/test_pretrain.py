@@ -117,16 +117,18 @@ def test_total_loss_arithmetic():
     assert float(total_loss(Tensor(0.5), Tensor(0.3), 0.0).data) == 0.5
 
 
-def test_total_gradient_is_sum_of_branch_gradients():
+def test_total_gradient_is_sum_of_branch_gradients(monkeypatch):
     model = _tiny_model()
     windows = Rng(8).normal((3, 32))
     params = model.pretrain_parameters()
     cfg = RunConfig(mask_ratio=0.4, contrastive_weight=0.25, seed=1)
     masks = np.stack([random_masks(1, model.dims.n_patches, 0.4, Rng(9))[0] for _ in range(3)])
+    # pretrain_batch draws its masks through the module attribute
+    monkeypatch.setattr(pretrain, "random_masks", lambda *_: masks)
 
     def run(select):
         def build():
-            out = pretrain_batch(model, windows, cfg, None, None, train=False, masks=masks)
+            out = pretrain_batch(model, windows, cfg, None, None, train=False)
             return select(out)
 
         return grad_of(build, params)

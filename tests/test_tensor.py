@@ -804,6 +804,29 @@ def test_window_merge_pads_in_place_when_every_rule_is_wrapped(pass_through_rule
     assert np.array_equal(g_full.reshape(expected.shape).view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize(
+    "batch, n, slots, dim",
+    [(64, 43, 45, 64), (64, 44, 44, 64), (7, 3, 4, 2)],
+    ids=["partial-last-group", "no-pad-slots", "one-group"],
+)
+@pytest.mark.parametrize("in_place", [False, True], ids=["separate", "front-of-block"])
+def test_pad_into_has_the_bits_of_a_copy_and_a_zero_fill(batch, n, slots, dim, in_place):
+    # 45 slots of 64 take 11 batch rows per group, so 64 rows leave a last
+    # group of 9; 7 rows of 4 slots of 2 fit one group, whose rows overlap
+    # their source in place
+    values = Rng(fnv1a64("pad-into")).normal((batch, n, dim))
+    block = np.full(batch * slots * dim, np.nan)
+    if in_place:
+        src = block[: values.size].reshape(values.shape)
+        src[...] = values
+    else:
+        src = values.copy()
+    T._pad_into(src, block.reshape(batch, slots, dim))
+    expected = np.zeros((batch, slots, dim))
+    expected[:, :n] = values
+    assert np.array_equal(block.view(np.uint64), expected.reshape(-1).view(np.uint64))
+
+
 def _standardize_gradient(owned):
     """The input gradient of standardize and whether it was built in the
     incoming gradient, which the rule above returns writeable (owned) or
