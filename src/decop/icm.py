@@ -2,13 +2,13 @@
 
 View generation: take the one-sided spectrum of each normalized window,
 keep the globally salient bins (largest batch-mean amplitude), then drop
-each instance's low-amplitude bins unless globally protected. Inverting
-the masked spectrum yields a denoised twin of the window. This runs on
-plain arrays, outside the gradient graph: the views are data. The
-spectrum is numpy's one-sided real FFT, a complex (B, L//2 + 1) array;
-synthesis is its inverse told L, since an odd and an even length share
-that width. The mask reads only ``keep_fraction`` and the spectrum's
-width, so a window shorter than 2 has no maskable bin and is refused.
+each instance's low-amplitude bins unless globally protected; both passes
+select by order statistic (:func:`lowest`). Inverting the masked spectrum
+yields a denoised twin of the window; the views are data, built outside
+the gradient graph. The spectrum is numpy's one-sided real FFT, a complex
+(B, L//2 + 1) array; synthesis is its inverse told L, since an odd and an
+even length share that width. A window shorter than 2 has no maskable bin
+and is refused.
 
 The alignment loss compares the two encodings of a pair: average over the
 patch axis, L2-normalize, and penalize 1 minus the mean cosine. There are
@@ -27,6 +27,20 @@ from .tensor import Tensor
 ZERO_NORM = 1e-12
 
 
+def lowest(values: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the ``k`` lowest values along the last axis.
+
+    Every value below the exact k-th order statistic, then its ties toward
+    the lower index until ``k`` are taken: a stable sort's first ``k``.
+    """
+    if k == 0:
+        return np.zeros(values.shape, dtype=bool)
+    kth = np.partition(values, k - 1, axis=-1)[..., k - 1 : k]
+    below, ties = values < kth, values == kth
+    room = k - below.sum(axis=-1, keepdims=True)
+    return below | (ties & (np.cumsum(ties, axis=-1) <= room))
+
+
 def build_fmask(coeffs: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Binary keep-mask over bins [0, L//2) per window.
 
@@ -34,9 +48,9 @@ def build_fmask(coeffs: np.ndarray, keep_fraction: float) -> np.ndarray:
     ``int(keep_fraction * half)`` with the largest batch-mean amplitude
     everywhere. The instance pass drops each window's
     ``int((1 - keep_fraction) * half)`` smallest-amplitude bins unless
-    protected. Ties resolve toward the lower bin index. Bin L//2 (present
-    in the one-sided spectrum; the Nyquist bin for even L) is outside the
-    maskable range and always survives.
+    protected. Both pick bins with :func:`lowest` and its tie rule. Bin
+    L//2 (present in the one-sided spectrum; the Nyquist bin for even L)
+    is outside the maskable range and always survives.
     """
     half = coeffs.shape[1] - 1
     n_keep = int(keep_fraction * half)
@@ -44,19 +58,8 @@ def build_fmask(coeffs: np.ndarray, keep_fraction: float) -> np.ndarray:
     if n_keep == 0 and n_drop == half:
         raise ConfigError("filter would drop every bin; increase the keep fraction")
     amps = np.abs(coeffs[:, :half])
-    batch_mean = amps.mean(axis=0)
-    protected = np.zeros(half, dtype=bool)
-    if n_keep:
-        order = np.argsort(-batch_mean, kind="stable")
-        protected[order[:n_keep]] = True
-    mask = np.ones(amps.shape, dtype=np.float64)
-    if n_drop:
-        low = np.argsort(amps, axis=1, kind="stable")[:, :n_drop]
-        rows = np.repeat(np.arange(amps.shape[0]), n_drop)
-        cols = low.reshape(-1)
-        droppable = ~protected[cols]
-        mask[rows[droppable], cols[droppable]] = 0.0
-    return mask
+    protected = lowest(-amps.mean(axis=0), n_keep)
+    return np.where(lowest(amps, n_drop) & ~protected, 0.0, 1.0)
 
 
 def generate_positive_views(windows: np.ndarray, keep_fraction: float) -> np.ndarray:

@@ -42,17 +42,14 @@ class EpochMetrics:
 def random_masks(batch: int, n_patches: int, ratio: float, stream: Rng) -> np.ndarray:
     """Per-sample masks, exactly floor(ratio * N) ones in each row.
 
-    One uniform draw per (sample, patch); each row masks the positions of
-    its k smallest uniforms (ties resolve toward the lower index), which
-    is a uniform k-subset and costs a single stream advance per batch.
+    One uniform draw per (sample, patch); each row masks its k smallest
+    uniforms (:func:`icm.lowest`), a uniform k-subset for one stream
+    advance per batch. A ratio that masks nothing draws nothing.
     """
     k = int(ratio * n_patches)
-    mask = np.zeros((batch, n_patches), dtype=np.float64)
-    if k:
-        u = stream.uniform((batch, n_patches))
-        picked = np.argsort(u, axis=1, kind="stable")[:, :k]
-        mask[np.repeat(np.arange(batch), k), picked.reshape(-1)] = 1.0
-    return mask
+    if not k:
+        return np.zeros((batch, n_patches))
+    return icm.lowest(stream.uniform((batch, n_patches)), k).astype(np.float64)
 
 
 def reconstruction_head(z: Tensor, w: Tensor, b: Tensor) -> Tensor:

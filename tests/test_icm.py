@@ -84,6 +84,44 @@ def test_parseval(length):
 
 
 # ---------------------------------------------------------------------------
+# k-lowest selection
+
+
+def _stable_lowest(values, k):
+    """Oracle: the first k positions of a stable ascending sort, per row."""
+    values = np.atleast_2d(values)
+    mask = np.zeros(values.shape, dtype=bool)
+    for r, row in enumerate(values):
+        mask[r, np.argsort(row, kind="stable")[:k]] = True
+    return mask
+
+
+_rng = Rng(45)
+SELECTION_CASES = [
+    # rounded to one decimal, so rows hold many ties
+    pytest.param(np.round(_rng.normal((7, 19)), 1), id="rounded"),
+    pytest.param(np.full((3, 11), 0.25), id="all-equal"),
+    # the global pass negates the batch-mean amplitude
+    pytest.param(-np.round(_rng.uniform((5, 16)), 1), id="negative"),
+    pytest.param(np.round(_rng.normal(23), 1), id="one-row"),
+    # the patch masks' shape at the acceptance config
+    pytest.param(np.round(_rng.uniform((256, 43)), 1), id="patch-masks"),
+    # -0.0 and 0.0 compare equal, so they tie
+    pytest.param(np.array([0.0, -0.0, 1.0, 0.0, -0.0, -1.0]), id="signed-zeros"),
+]
+
+
+@pytest.mark.parametrize("values", SELECTION_CASES)
+def test_lowest_matches_a_stable_sort(values):
+    n = values.shape[-1]
+    for k in (0, 1, n // 2, n - 1, n):
+        got = icm.lowest(values, k)
+        assert got.shape == values.shape and got.dtype == bool
+        assert np.array_equal(np.atleast_2d(got), _stable_lowest(values, k)), k
+        assert (got.sum(axis=-1) == k).all()
+
+
+# ---------------------------------------------------------------------------
 # mask construction
 
 
@@ -150,6 +188,31 @@ def test_set_sizes_and_disjointness():
         dropped = set(np.flatnonzero(mask[r] == 0.0).tolist())
         assert len(dropped) <= n_drop
         assert dropped.isdisjoint(protected)
+
+
+def _argsort_fmask(coeffs, keep_fraction):
+    """Oracle: the filter as stable argsorts and an index scatter."""
+    half = coeffs.shape[1] - 1
+    n_keep, n_drop = int(keep_fraction * half), int((1.0 - keep_fraction) * half)
+    amps = np.abs(coeffs[:, :half])
+    protected = np.zeros(half, dtype=bool)
+    protected[np.argsort(-amps.mean(axis=0), kind="stable")[:n_keep]] = True
+    mask = np.ones(amps.shape)
+    low = np.argsort(amps, axis=1, kind="stable")[:, :n_drop]
+    rows = np.repeat(np.arange(amps.shape[0]), n_drop)
+    keep = ~protected[low.reshape(-1)]
+    mask[rows[keep], low.reshape(-1)[keep]] = 0.0
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(256, 257), (512, 257), (37, 44), (187, 257)])
+@pytest.mark.parametrize("keep_fraction", [0.3, 0.5])
+def test_tie_heavy_spectrum_matches_the_argsort_filter(shape, keep_fraction):
+    # real spectra rounded to one decimal: many equal amplitudes within a
+    # window and equal batch means across bins
+    coeffs = np.round(Rng(46).normal(shape), 1)
+    assert len(np.unique(np.abs(coeffs))) < coeffs.size // 8
+    assert np.array_equal(icm.build_fmask(coeffs, keep_fraction), _argsort_fmask(coeffs, keep_fraction))
 
 
 def test_masking_the_only_active_bin_zeroes_the_signal():

@@ -40,6 +40,17 @@ def test_zero_ratio_masks_nothing():
     assert random_masks(1, 40, 0.0, Rng(1))[0].sum() == 0
 
 
+@pytest.mark.parametrize("ratio,draws", [(0.0, False), (0.02, False), (0.4, True)])
+def test_masks_draw_one_uniform_block_or_nothing(ratio, draws):
+    # k = int(ratio * 40): 0, 0 and 16; only k >= 1 advances the stream,
+    # by exactly one (batch, n_patches) uniform draw
+    stream, twin = Rng(1), Rng(1)
+    random_masks(3, 40, ratio, stream)
+    if draws:
+        twin.uniform((3, 40))
+    assert np.array_equal(stream.words(4), twin.words(4))
+
+
 def test_mask_count_is_floor_of_ratio():
     mask = random_masks(1, 43, 0.4, Rng(2))[0]
     assert mask.sum() == 17
