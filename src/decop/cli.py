@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import checkpoint, flops, icm
+from . import checkpoint, flops
 from .checkpoint import atomic_write_text
 from .config import RunConfig, echo_config, load_config
 from .data import (
@@ -34,13 +34,12 @@ from .data import (
     sample_windows,
     synthetic_sine,
     synthetic_two_class,
-    unpatchify_batch,
     write_csv,
 )
 from .errors import ConfigError, DecopError
 from .finetune import add_task_head, evaluate, run_finetuning
-from .model import ModelState, normalize_windows
-from .pretrain import run_pretraining
+from .model import ModelState
+from .pretrain import positive_views, run_pretraining
 from .rng import Rng
 
 
@@ -62,41 +61,38 @@ def _build_model(cfg: RunConfig) -> ModelState:
 def _write_metrics_csv(path: str, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+def _write_history(cfg: RunConfig, stage: str, columns: list[str], history: list, values: list[list]) -> None:
+    """Write ``config_echo.txt``, ``<stage>_metrics.csv`` (a row of ``values`` per epoch), the timing CSV."""
+    atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
+    timing = [[m.seconds] for m in history]
+    for name, header, rows in (("metrics", columns, values), ("timing", ["seconds"], timing)):
+        path = os.path.join(cfg.out_dir, f"{stage}_{name}.csv")
+        _write_metrics_csv(path, ["epoch"] + header, [[m.epoch] + row for m, row in zip(history, rows)])
+
+
+def _write_report(cfg: RunConfig, metrics) -> None:
+    """Write ``report.txt`` and print it."""
+    text = "".join(f"{key}={value:.10g}\n" for key, value in metrics.as_dict().items())
+    atomic_write_text(os.path.join(cfg.out_dir, "report.txt"), text)
+    print(text, end="")
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     model = _build_model(cfg)
     history, best = run_pretraining(model, dataset, cfg)
-    atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
-    _write_metrics_csv(
-        os.path.join(cfg.out_dir, "pretrain_metrics.csv"),
-        ["epoch", "recon_loss", "contrastive_loss", "total_loss"],
-        [[m.epoch, m.recon, m.contrastive, m.total] for m in history],
-    )
-    _write_metrics_csv(
-        os.path.join(cfg.out_dir, "pretrain_timing.csv"),
-        ["epoch", "seconds"],
-        [[m.epoch, m.seconds] for m in history],
-    )
+    columns = ["recon_loss", "contrastive_loss", "total_loss"]
+    _write_history(cfg, "pretrain", columns, history, [[m.recon, m.contrastive, m.total] for m in history])
     checkpoint.save(os.path.join(cfg.out_dir, "ckpt_final.decop"), model)
     model.restore(best)
     checkpoint.save(os.path.join(cfg.out_dir, "ckpt_best.decop"), model)
     print(f"pretrained {cfg.epochs} epochs; final loss {history[-1].total:.6f}")
     print(f"checkpoints written under {cfg.out_dir}")
     return 0
-
-
-def _report_text(metrics) -> str:
-    return "".join(f"{key}={value:.10g}\n" for key, value in metrics.as_dict().items())
 
 
 def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
@@ -106,21 +102,12 @@ def cmd_finetune(cfg: RunConfig, ckpt_path: str | None) -> int:
     if ckpt_path is not None:
         checkpoint.load(ckpt_path, model)
     history, test_metrics = run_finetuning(model, dataset, cfg)
-    atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
     val_keys = sorted(history[0].val.as_dict()) if history else []
-    _write_metrics_csv(
-        os.path.join(cfg.out_dir, "finetune_metrics.csv"),
-        ["epoch", "train_loss"] + [f"val_{k}" for k in val_keys],
-        [[m.epoch, m.train_loss] + [m.val.as_dict()[k] for k in val_keys] for m in history],
-    )
-    _write_metrics_csv(
-        os.path.join(cfg.out_dir, "finetune_timing.csv"),
-        ["epoch", "seconds"],
-        [[m.epoch, m.seconds] for m in history],
-    )
+    columns = ["train_loss"] + [f"val_{k}" for k in val_keys]
+    rows = [[m.train_loss] + [m.val.as_dict()[k] for k in val_keys] for m in history]
+    _write_history(cfg, "finetune", columns, history, rows)
     checkpoint.save(os.path.join(cfg.out_dir, "ckpt_finetuned.decop"), model)
-    atomic_write_text(os.path.join(cfg.out_dir, "report.txt"), _report_text(test_metrics))
-    print(_report_text(test_metrics), end="")
+    _write_report(cfg, test_metrics)
     return 0
 
 
@@ -129,9 +116,7 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
     model = _build_model(cfg)
     add_task_head(model, cfg)
     checkpoint.load(ckpt_path, model, require_heads=True)
-    metrics = evaluate(model, dataset, cfg, "test")
-    atomic_write_text(os.path.join(cfg.out_dir, "report.txt"), _report_text(metrics))
-    print(_report_text(metrics), end="")
+    _write_report(cfg, evaluate(model, dataset, cfg, "test"))
     return 0
 
 
@@ -152,9 +137,7 @@ def cmd_filter_viz(cfg: RunConfig, channel: int, out_path: str | None) -> int:
     # samples are position-major, channel-minor: the first window of channel c is samples[c]
     window = sample_windows(dataset, cfg.lookback, 0, "test")[channel].x[None, :]
 
-    normalized, _ = normalize_windows(_build_model(cfg), window)
-    anchor = unpatchify_batch(normalized.data, cfg.stride, cfg.lookback)
-    denoised = icm.generate_positive_views(anchor, cfg.keep_fraction)
+    _, anchor, denoised = positive_views(_build_model(cfg), window, cfg.keep_fraction)
     noise = anchor - denoised
 
     rows = [[t, anchor[0, t], denoised[0, t], noise[0, t]] for t in range(cfg.lookback)]

@@ -113,14 +113,6 @@ _PARSERS = {
 _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    try:
-        return _FIELD_PARSERS[key](raw)
-    except ValueError:
-        raise ConfigError(f"field '{key}': cannot parse value {raw!r}") from None
-
-
 def parse_config_text(text: str) -> RunConfig:
     values = {}
     first_line: dict[str, int] = {}
@@ -136,7 +128,10 @@ def parse_config_text(text: str) -> RunConfig:
         if key in first_line:
             raise ConfigError(f"line {lineno}: field '{key}' already given on line {first_line[key]}")
         first_line[key] = lineno
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _FIELD_PARSERS[key](raw)
+        except ValueError:
+            raise ConfigError(f"field '{key}': cannot parse value {raw!r}") from None
     return RunConfig(**values).validate()
 
 

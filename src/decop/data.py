@@ -31,7 +31,7 @@ STD_FLOOR = 1e-8
 # inside the model; below it, a sum of up to 1e108 squares stays finite.
 MAX_STANDARDIZED = 1e100
 
-# fixed month-based split protocol for the electricity-transformer corpora
+# fixed month-based split for the electricity-transformer corpora, by a name's first four letters
 _ROWS_PER_MONTH = {"etth": 30 * 24, "ettm": 30 * 24 * 4}
 _ETT_MONTHS = (12, 4, 4)
 
@@ -46,14 +46,6 @@ class DatasetSpec:
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
     # a classify run needs a label column with labels in [0, classes); 0: none needed
     classes: int = 0
-
-    def protocol(self) -> str:
-        low = self.name.lower()
-        if low.startswith("etth"):
-            return "etth"
-        if low.startswith("ettm"):
-            return "ettm"
-        return "ratio"
 
 
 @dataclass
@@ -132,9 +124,8 @@ def unpatchify_batch(patches: np.ndarray, stride: int, length: int) -> np.ndarra
 
 
 def _split_boundaries(n_rows: int, spec: DatasetSpec) -> tuple[int, int, int]:
-    protocol = spec.protocol()
-    if protocol in _ROWS_PER_MONTH:
-        month = _ROWS_PER_MONTH[protocol]
+    month = _ROWS_PER_MONTH.get(spec.name.lower()[:4])
+    if month:
         train = _ETT_MONTHS[0] * month
         val = train + _ETT_MONTHS[1] * month
         test = val + _ETT_MONTHS[2] * month

@@ -166,11 +166,6 @@ class FinetuneEpochMetrics:
     seconds: float
 
 
-def selection_value(metrics: Metrics, task: str) -> float:
-    """Lower is better: MSE for forecasting, negated F1 for classification."""
-    return metrics.mse if task == "forecast" else -metrics.f1
-
-
 def finetune_epoch(
     model: ModelState,
     dataset: Dataset,
@@ -215,7 +210,8 @@ def run_finetuning(
     for epoch in range(1, cfg.epochs + 1):
         metrics = finetune_epoch(model, dataset, cfg, optimizer, epoch, streams)
         history.append(metrics)
-        value = selection_value(metrics.val, cfg.task)
+        # lower is better: MSE for forecasting, negated F1 for classification
+        value = metrics.val.mse if cfg.task == "forecast" else -metrics.val.f1
         if value < best_value:
             best_value = value
             best = model.snapshot()

@@ -77,6 +77,16 @@ def total_loss(recon: Tensor, contrastive: Tensor, weight: float) -> Tensor:
     return T.add(recon, T.mul(Tensor(weight), contrastive))
 
 
+def positive_views(
+    model: ModelState, windows: np.ndarray, keep_fraction: float
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """IPN-normalized (B, N, P) anchor patches, their (B, L) series and its denoised views."""
+    dims = model.dims
+    patches, _ = normalize_windows(model, windows)
+    series = unpatchify_batch(patches.data, dims.stride, dims.lookback)
+    return patches, series, icm.generate_positive_views(series, keep_fraction)
+
+
 @dataclass
 class BatchOutput:
     recon: Tensor
@@ -97,18 +107,16 @@ def pretrain_batch(
     The masks are drawn here and the views computed from the batch.
     """
     dims = model.dims
-    anchor_patches, _ = normalize_windows(model, windows)
-    views = icm.generate_positive_views(
-        unpatchify_batch(anchor_patches.data, dims.stride, dims.lookback), cfg.keep_fraction
-    )
+    anchor_patches, series, views = positive_views(model, windows, cfg.keep_fraction)
     pair_patches = Tensor(patchify_batch(views, dims.patch_size, dims.stride))
     masks = random_masks(windows.shape[0], dims.n_patches, cfg.mask_ratio, mask_stream)
 
     # both views share every parameter and the same masks, so they run as
     # one doubled batch; the alignment loss pairs row i with row B + i.
-    # The halves are copies, so they are let go before the encoder runs
+    # The halves are copies, so they, the series and the views are let go
+    # before the encoder runs
     both = T.concat_rows(anchor_patches, pair_patches)
-    del views, anchor_patches, pair_patches
+    del series, views, anchor_patches, pair_patches
     both_masks = np.concatenate([masks, masks], axis=0)
     encoded, pre = encode_patches(model, both, train, dropout_stream, both_masks)
     contrastive = icm.contrastive_loss(pre)

@@ -137,10 +137,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
-
 
 class Tape:
     """Ordered record of operations for one reverse sweep.
@@ -752,9 +748,6 @@ def window_merge(z: Tensor, batch: int, n: int, dim: int) -> Tensor:
     full_shape, flat_shape, size = full.shape, z.shape, z.size
 
     def backward(g):
-        if n == full_shape[1]:
-            # no padded slots: the gradient already has the input's layout
-            return (g.reshape(flat_shape),)
         block = g.base if g.flags.writeable and g.flags.c_contiguous else None
         if block is not None and block.nbytes >= 8 * size and g.ctypes.data == block.ctypes.data:
             g_full = block[:size].reshape(full_shape)

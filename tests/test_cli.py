@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from decop.cli import main
-from decop.config import RunConfig
-from decop.data import synthetic_sine, synthetic_two_class, write_csv
+from decop.config import RunConfig, load_config
+from decop.data import DatasetSpec, load_csv, sample_windows, synthetic_sine, synthetic_two_class, write_csv
+from decop.model import ModelState
+from decop.pretrain import positive_views
+from decop.rng import Rng
 
 
 @pytest.fixture
@@ -145,6 +148,26 @@ def test_filter_viz_schema_and_identity_filter(workspace):
     assert len(lines) == 1 + 48  # header + one row per look-back point
     noise = np.array([float(ln.split(",")[3]) for ln in lines[1:]])
     assert np.abs(noise).max() < 1e-8
+
+
+def test_filter_viz_shows_the_views_pretraining_builds(workspace):
+    # at a keep fraction that filters, the anchor and denoised columns are
+    # the series and views pretrain.positive_views builds for channel 1's
+    # first test window, to the CSV's 12 significant digits
+    tmp_path, data = workspace
+    cfg_path = _config(tmp_path, data, "viz3", keep_fraction="0.3")
+    out = str(tmp_path / "viz3.csv")
+    assert main(["filter-viz", "--config", cfg_path, "--channel", "1", "--out", out]) == 0
+    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+
+    cfg = load_config(cfg_path)
+    dataset = load_csv(data, DatasetSpec("toy", data, ratios=cfg.split_ratios))
+    window = sample_windows(dataset, cfg.lookback, 0, "test")[1].x[None, :]
+    model = ModelState(cfg.dims(), cfg.dropout, cfg.blend_init, Rng(cfg.seed))
+    _, anchor, views = positive_views(model, window, cfg.keep_fraction)
+    assert [row[1] for row in rows] == [f"{v:.12g}" for v in anchor[0]]
+    assert [row[2] for row in rows] == [f"{v:.12g}" for v in views[0]]
+    assert max(abs(float(row[3])) for row in rows) > 1e-3
 
 
 def test_filter_viz_channel_out_of_range(workspace, capsys):

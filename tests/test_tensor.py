@@ -732,14 +732,17 @@ def test_gradient_handed_to_two_inputs_is_never_added_into():
 
 @pytest.mark.parametrize(
     "batch, n, dim, window, room",
-    [(64, 43, 64, 5, True), (1024, 4, 32, 3, False)],
-    ids=["room", "no-room"],
+    [(64, 43, 64, 5, True), (1024, 4, 32, 3, False), (64, 45, 64, 5, True)],
+    ids=["room", "no-room", "no-pad"],
 )
 def test_window_merge_pads_a_gradient_it_owns_in_place_with_the_same_bits(batch, n, dim, window, room):
     # 43 patches in windows of 5 take 45 slots, which fit the incoming
     # gradient's rounded block; 11 batch rows move per slice, so the 64 rows
     # take six slices, the last one short. A 1 MiB gradient takes an exact
     # 1 MiB block, which cannot hold its padded layout of 6 slots for 4.
+    # A window that divides the patch count leaves no pad slot: the owned
+    # gradient stays in its own block and a read-only one is copied, both
+    # with the incoming bits.
     slots = -(-n // window) * window
     z = Tensor(np.zeros((batch * slots // window, window * dim)), requires_grad=True)
     with Tape() as tape:
