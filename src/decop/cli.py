@@ -66,7 +66,7 @@ def _write_metrics_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _write_history(cfg: RunConfig, stage: str, columns: list[str], history: list, values: list[list]) -> None:
-    """Write ``config_echo.txt``, ``<stage>_metrics.csv`` (a row of ``values`` per epoch), the timing CSV."""
+    """Write ``config_echo.txt``, ``<stage>_metrics.csv`` (a ``values`` row per epoch), ``<stage>_timing.csv``."""
     atomic_write_text(os.path.join(cfg.out_dir, "config_echo.txt"), echo_config(cfg))
     timing = [[m.seconds] for m in history]
     for name, header, rows in (("metrics", columns, values), ("timing", ["seconds"], timing)):
