@@ -5,8 +5,10 @@ learnable positional table, then passed through a stack of blocks. Each
 block groups consecutive patches into fixed-size windows, flattens every
 window into one vector, transforms it with a shared learner (affine, or
 a two-layer GELU MLP), unfolds back, and adds a dropout residual of its
-input. Window sizes grow across blocks, so locality widens gradually
-until the last block can span the whole patch axis.
+input. Window sizes grow across blocks, but the windows of a block do
+not overlap, so a patch reaches only the windows it shares on the way
+up: at windows 2,5 over 43 patches, one patch reaches 3 to 10 patches,
+not the whole patch axis (ROADMAP item 15).
 
 ``init_block`` reads ``model_dim``, ``learner`` and ``hidden_mult`` from
 ``ModelDims``; the forward functions take the plain dropout probability.

@@ -115,8 +115,8 @@ class Tensor:
     ``recompute``, when set, writes the tensor's values bit for bit into
     a given C-contiguous array of its shape (any other target is a
     :class:`ContractError`), so that a backward rule can rebuild them
-    instead of keeping them from the forward pass. :func:`embed` sets it
-    to the very function that wrote its output, and
+    instead of keeping them from the forward pass. :func:`embed` and
+    :func:`gelu` set it to the very function that wrote their output, and
     :func:`window_partition` passes it on to its layout.
     """
 
@@ -354,30 +354,40 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(xs: np.ndarray, ts: np.ndarray) -> None:
+    """``ts = tanh(c * (xs + 0.044715 * (xs * xs * xs)))``, in that order."""
+    np.multiply(xs, xs, out=ts)
+    ts *= xs
+    ts *= 0.044715
+    ts += xs
+    ts *= _GELU_C
+    np.tanh(ts, out=ts)
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh form.
+    """Gaussian error linear unit, tanh form; only the input is kept.
 
     Forward and backward run block by block; each element sees the plain
     expressions' operations in their order, so the bits do not change.
+    One writer fills the output and is its ``recompute``, as
+    :func:`embed`'s is, and backward recomputes each block's tanh before
+    its slope.
     """
     x = a.data
     flat_x = x.reshape(-1)
-    t = _empty(x.shape)
-    out = _empty(x.shape)
-    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
-    buf = np.empty(min(x.size, BLOCK))
-    for s in _blocks(x.size):
-        xs, ts, outs, inner = flat_x[s], flat_t[s], flat_out[s], buf[: s.stop - s.start]
-        # t = tanh(c * (x + 0.044715 * (x * x * x))); out = 0.5 * x * (1 + t)
-        np.multiply(xs, xs, out=inner)
-        inner *= xs
-        inner *= 0.044715
-        inner += xs
-        inner *= _GELU_C
-        np.tanh(inner, out=ts)
-        np.multiply(0.5, xs, out=outs)
-        np.add(1.0, ts, out=inner)
-        outs *= inner
+
+    def write(target):
+        if target.shape != x.shape or not target.flags.c_contiguous:
+            raise ContractError(f"gelu writes into a C-contiguous array of shape {x.shape}")
+        flat_out = target.reshape(-1)
+        t = np.empty(min(x.size, BLOCK))
+        for s in _blocks(x.size):
+            # out = 0.5 * x * (1 + t)
+            xs, ts, outs = flat_x[s], t[: s.stop - s.start], flat_out[s]
+            _gelu_tanh(xs, ts)
+            np.multiply(0.5, xs, out=outs)
+            np.add(1.0, ts, out=ts)
+            outs *= ts
 
     def backward(g):
         # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)),
@@ -385,9 +395,11 @@ def gelu(a: Tensor) -> Tensor:
         flat_g = g.reshape(-1)
         slope = _empty(x.shape)
         flat_slope = slope.reshape(-1)
+        t = np.empty(min(x.size, BLOCK))
         buf = np.empty(min(x.size, BLOCK))
         for s in _blocks(x.size):
-            xs, ts, ss, b = flat_x[s], flat_t[s], flat_slope[s], buf[: s.stop - s.start]
+            xs, ts, ss, b = flat_x[s], t[: s.stop - s.start], flat_slope[s], buf[: s.stop - s.start]
+            _gelu_tanh(xs, ts)
             np.multiply(ts, ts, out=b)
             np.subtract(1.0, b, out=b)
             np.multiply(0.5, xs, out=ss)
@@ -403,7 +415,11 @@ def gelu(a: Tensor) -> Tensor:
             ss *= flat_g[s]
         return (slope,)
 
-    return _record((a,), out, backward)
+    out = _empty(x.shape)
+    write(out)
+    hidden = _record((a,), out, backward)
+    hidden.recompute = write
+    return hidden
 
 
 # ---------------------------------------------------------------------------

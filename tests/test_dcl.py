@@ -480,3 +480,66 @@ def test_first_layout_is_let_go_when_the_forward_pass_returns(learner, monkeypat
         loss = T.sum_all(out)
     tape.backward(loss)
     assert model.blocks[0].params["w" if learner == "linear" else "w1"].grad is not None
+
+
+# ---------------------------------------------------------------------------
+# GELU keeps only its input; the MLP learner's second affine rebuilds
+# GELU's output for its weight gradient. At classify-mlp's shape: L=512,
+# P=S=8, D=64, windows 4 and 8 (65 patches), batch 64
+
+
+def _classify_mlp_model():
+    dims = ModelDims(512, 8, 8, 64, (4, 8), "mlp")
+    model = ModelState(dims, dropout=0.1, blend_init=0.01, rng=Rng(36))
+    return model, Tensor(Rng(37).normal((64, 65, 8)))
+
+
+def _classify_mlp_gradients():
+    model, patches = _classify_mlp_model()
+    with Tape() as tape:
+        out, _ = encode_patches(model, patches, True, Rng(38))
+        loss = T.sum_all(T.mul(out, Tensor(Rng(39).normal(out.shape))))
+    tape.backward(loss)
+    return {name: p.grad for name, p in model.finetune_parameters().items() if p.grad is not None}
+
+
+def test_rebuilding_gelus_output_changes_no_gradient_bit(monkeypatch):
+    rebuilt = _classify_mlp_gradients()
+    # without the rebuild, the second affine keeps GELU's output
+    gelu = T.gelu
+
+    def without_rebuild(a):
+        hidden = gelu(a)
+        hidden.recompute = None
+        return hidden
+
+    monkeypatch.setattr(T, "gelu", without_rebuild)
+    kept = _classify_mlp_gradients()
+    assert rebuilt.keys() == kept.keys()
+    assert {"block0.w2", "block1.w1"} <= kept.keys()
+    for name in kept:
+        assert np.array_equal(rebuilt[name].view(np.uint64), kept[name].view(np.uint64)), name
+
+
+def test_gelu_output_is_let_go_when_the_forward_pass_returns(monkeypatch):
+    model, patches = _classify_mlp_model()
+    arrays = []
+    gelu = T.gelu
+
+    def spy(a):
+        hidden = gelu(a)
+        owners = [t.data if t.data.base is None else t.data.base for t in (a, hidden)]
+        arrays.append([weakref.ref(owner) for owner in owners])
+        return hidden
+
+    monkeypatch.setattr(T, "gelu", spy)
+    with Tape() as tape:
+        out, _ = encode_patches(model, patches, True, Rng(38))
+        assert len(arrays) == 2
+        # each block's GELU input stays for GELU's slope and the rebuild;
+        # its output was freed once the second affine had run
+        for kept, freed in arrays:
+            assert kept() is not None and freed() is None
+        loss = T.sum_all(out)
+    tape.backward(loss)
+    assert model.blocks[1].params["w2"].grad is not None

@@ -508,3 +508,35 @@ def test_warm_forecast_step_peak_memory_is_bounded_in_activations():
         tracemalloc.stop()
     activation = 256 * model.dims.n_patches * model.dims.model_dim * 8
     assert peak <= 6.2 * activation, peak / activation
+
+
+def test_warm_classify_mlp_step_peak_memory_is_bounded_in_activations():
+    # at classify-mlp's shape (batch 64, L 512, P = S = 8, D 64, windows
+    # 4 and 8, MLP learners): GELU keeps only its input and each second
+    # affine rebuilds GELU's output for its weight gradient, so the step
+    # peaks near 9.1 (B, N, D) activations; keeping GELU's tanh and output
+    # took it to 12.6
+    cfg = RunConfig(
+        task="classify", classes=2, lookback=512, patch_size=8, stride=8, model_dim=64, windows=(4, 8),
+        learner="mlp", batch_size=64,
+    )
+    model = ModelState(cfg.dims(), cfg.dropout, cfg.blend_init, Rng(3))
+    add_task_head(model, cfg)
+    optimizer = Adam(model.finetune_parameters(), lr=cfg.lr)
+    series = synthetic_sine(64 + 512, 1, seed=4)[:, 0]
+    x = np.stack([series[i : i + 512] for i in range(64)])
+    labels = np.arange(64) % 2
+    dropout = Rng(5).child("dropout")
+
+    def forward(x, labels):
+        return (cross_entropy(classify_forward(model, x, True, dropout), labels),)
+
+    train_epoch([(x, labels)], forward, optimizer, 1)
+    tracemalloc.start()
+    try:
+        train_epoch([(x, labels)], forward, optimizer, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activation = 64 * model.dims.n_patches * model.dims.model_dim * 8
+    assert peak <= 10.5 * activation, peak / activation

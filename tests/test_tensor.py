@@ -309,6 +309,27 @@ def test_gelu_backward_matches_the_plain_expression_bit_for_bit(shape):
     assert np.array_equal(a.grad, expected)
 
 
+@pytest.mark.parametrize("shape", [(1088, 256), (576, 512), (3, T.BLOCK // 3 + 1)])
+def test_gelu_rebuild_writes_the_forward_bits(shape):
+    # classify-mlp's two hidden layers, then a size that ends in a partial
+    # block; the rebuild writes every element over NaN
+    x = Rng(fnv1a64(f"gelu-rebuild-{shape}")).normal(shape) * 3.0
+    with Tape():
+        out = T.gelu(Tensor(x, requires_grad=True))
+    rebuilt = np.full(shape, np.nan)
+    out.recompute(rebuilt)
+    assert np.array_equal(rebuilt.view(np.uint64), out.data.view(np.uint64))
+
+
+def test_gelu_rebuilds_only_into_a_c_contiguous_target_of_its_shape():
+    # a reshape of a strided target would be a copy, and the rebuild would
+    # write into that copy instead
+    out = T.gelu(Tensor(Rng(42).normal((6, 4)), requires_grad=True))
+    for target in (np.empty((4, 6)).T, np.empty((6, 8))[:, :4], np.empty((4, 6))):
+        with pytest.raises(ContractError, match="C-contiguous"):
+            out.recompute(target)
+
+
 def test_dropout_gradient_with_pinned_mask():
     a = Tensor(Rng(4).normal((6, 5)), requires_grad=True)
     x = Tensor(Rng(5).normal((6, 5)), requires_grad=True)
